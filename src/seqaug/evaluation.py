@@ -49,7 +49,7 @@ class EvalReport:
 
     def save_json(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
+            json.dump(self.to_dict(), f, indent=2, sort_keys=True, allow_nan=False)
 
     @staticmethod
     def from_json(path):
@@ -109,27 +109,26 @@ def evaluate(scorer, split, ds, negatives=100, seed=1, k=10, target="test", batc
 
     total = sum(counts.values())
     overall_sum = sum(sums.values())
-    per_group = {}
-    for g in GROUPS:
-        if counts[g]:
-            per_group[g] = {f"hr@{k}": sums[g][0] / counts[g], f"ndcg@{k}": sums[g][1] / counts[g]}
-        else:
-            per_group[g] = {f"hr@{k}": float("nan"), f"ndcg@{k}": float("nan")}
+    # an empty group has no mean; it is left out and keeps n_users 0
+    per_group = {g: {f"hr@{k}": sums[g][0] / counts[g], f"ndcg@{k}": sums[g][1] / counts[g]}
+                 for g in GROUPS if counts[g]}
     overall = {f"hr@{k}": overall_sum[0] / total, f"ndcg@{k}": overall_sum[1] / total}
     return EvalReport(overall=overall, per_group=per_group, n_users=dict(counts),
                       seeds=[seed], negatives=negatives, truncated_negative_users=truncated, k=k)
 
 
 def average_reports(reports):
-    """Mean of single-seed reports from repeated runs of the same setting."""
+    """Mean of single-seed reports from repeated runs of the same setting.
+    Each group is averaged over the reports that contain it."""
     if not reports:
         raise ValueError("no reports to average")
     k = reports[0].k
     overall = {m: float(np.mean([r.overall[m] for r in reports])) for m in reports[0].overall}
     per_group = {}
     for g in GROUPS:
-        per_group[g] = {m: float(np.mean([r.per_group[g][m] for r in reports]))
-                        for m in reports[0].per_group[g]}
+        having = [r.per_group[g] for r in reports if g in r.per_group]
+        if having:
+            per_group[g] = {m: float(np.mean([p[m] for p in having])) for m in having[0]}
     seeds = [s for r in reports for s in r.seeds]
     return EvalReport(overall=overall, per_group=per_group, n_users=dict(reports[0].n_users),
                       seeds=seeds, negatives=reports[0].negatives,

@@ -108,9 +108,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data)
-
     def backward(self):
         backward(self)
 
@@ -531,15 +528,22 @@ def embedding(table, ids):
     return _make(out_data, (table,), bwd, "embedding")
 
 
-def dropout(a, rate, train, rng):
-    """Inverted dropout. rate=0 or train=False is the identity."""
+def dropout(a, rate, train, rng, draw_len=None):
+    """Inverted dropout. rate=0 or train=False is the identity.
+
+    ``draw_len`` draws the mask that long on axis -2 and keeps its last
+    ``a.shape[-2]`` positions: a left-padded batch trimmed to its longest row
+    passes its untrimmed length, so the generator advances as at full width
+    and the kept entries are the same numbers whatever the trim."""
     a = as_tensor(a)
     if not train or rate == 0.0:
         return a
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    keep = keep.astype(a.data.dtype)
+    shape = a.data.shape
+    full = shape if draw_len is None else shape[:-2] + (draw_len, shape[-1])
+    keep = (rng.random(full) >= rate)[tuple(slice(f - n, None) for f, n in zip(full, shape))]
+    keep = (keep / (1.0 - rate)).astype(a.data.dtype)
     out_data = a.data * keep
 
     def bwd(g):

@@ -211,9 +211,7 @@ def run_pipeline_once(config, raw_dir, work_dir, strategy=None, seed=None):
     work = _ensure_dir(os.path.join(work_dir, tag))
 
     aug_dir = os.path.join(work, "augmented")
-    if cfg.strategy == "none":
-        run_augment(cfg, raw_dir, aug_dir)
-    elif cfg.strategy in ("random", "random_seq"):
+    if cfg.strategy in ("none", "random", "random_seq"):
         run_augment(cfg, raw_dir, aug_dir)
     elif cfg.strategy == "reverse_gen":
         rev_dir = os.path.join(work, "reverse-model")

@@ -28,12 +28,6 @@ class NoiseSchedule:
     alpha_bar: np.ndarray = field(repr=False)
     sigma2: np.ndarray = field(repr=False)
 
-    def sqrt_alpha_bar(self, t):
-        return float(np.sqrt(self.alpha_bar[t - 1]))
-
-    def sqrt_one_minus_alpha_bar(self, t):
-        return float(np.sqrt(1.0 - self.alpha_bar[t - 1]))
-
 
 def _betas_from_alpha_bar(alpha_bar):
     prev = np.concatenate([[1.0], alpha_bar[:-1]])

@@ -51,17 +51,21 @@ class AttnFFNBlock(Module):
         self.ffn1 = Linear(d, d * ffn_mult, rng)
         self.ffn2 = Linear(d * ffn_mult, d, rng)
 
-    def __call__(self, h, mask, drop_rate, train, rng):
+    def __call__(self, h, mask, drop_rate, train, rng, max_len):
         a = self.norm1(h)
         a = nd.scaled_dot_attention(self.q(a), self.k(a), self.v(a), mask=mask)
-        h = nd.add(h, nd.dropout(a, drop_rate, train, rng))
+        h = nd.add(h, nd.dropout(a, drop_rate, train, rng, draw_len=max_len))
         f = self.ffn2(nd.relu(self.ffn1(self.norm2(h))))
-        return nd.add(h, nd.dropout(f, drop_rate, train, rng))
+        return nd.add(h, nd.dropout(f, drop_rate, train, rng, draw_len=max_len))
 
 
 class SrsModel(Module):
     """Attention blocks over left-padded sequences; logits are the last
-    position's hidden state dotted with the (tied) item-embedding table."""
+    position's hidden state dotted with the (tied) item-embedding table.
+    A batch is as wide as its longest row, L <= max_len, and uses the last L
+    rows of ``pos_emb``; padded keys get zero attention weight and dropout
+    masks are drawn at max_len width, so trimming changes no result beyond
+    summation order."""
 
     def __init__(self, config, rng):
         self.config = config
@@ -74,13 +78,14 @@ class SrsModel(Module):
     # -- encoding ----------------------------------------------------------
 
     def pad_batch(self, sequences):
-        """Left-pad / left-truncate item lists to max_len. Returns int array (B, L)."""
-        L = self.config.max_len
-        out = np.zeros((len(sequences), L), dtype=np.int64)
-        for i, seq in enumerate(sequences):
-            seq = list(seq)[-L:]
-            if not seq:
-                raise ValueError("cannot score an empty sequence")
+        """Left-pad / left-truncate item lists to the longest row, at most
+        max_len. Returns int array (B, L)."""
+        rows = [list(seq)[-self.config.max_len:] for seq in sequences]
+        if not all(rows):
+            raise ValueError("cannot score an empty sequence")
+        L = max(map(len, rows), default=0)
+        out = np.zeros((len(rows), L), dtype=np.int64)
+        for i, seq in enumerate(rows):
             out[i, L - len(seq):] = seq
         return out
 
@@ -110,10 +115,10 @@ class SrsModel(Module):
         L = pad_rows.shape[1]
         h = nd.add(h, nd.take(self.pos_emb, np.arange(self.config.max_len - L,
                                                       self.config.max_len)))
-        h = nd.dropout(h, self.config.dropout, train, rng)
+        h = nd.dropout(h, self.config.dropout, train, rng, draw_len=self.config.max_len)
         mask = self._masks(pad_rows)
         for block in self.blocks:
-            h = block(h, mask, self.config.dropout, train, rng)
+            h = block(h, mask, self.config.dropout, train, rng, self.config.max_len)
         return self.final_norm(h)
 
     def last_hidden(self, ids=None, emb_seq=None, pad_rows=None, train=False, rng=None):
@@ -206,8 +211,7 @@ def _valid_hr10(model, split):
         scores = model.score_sequences(seqs)
         for u, row in zip(chunk, scores):
             target = split.valid_target[u]
-            rank = 1 + int(np.sum(row >= row[target - 1])) - 1
-            hits += rank <= 10
+            hits += int(np.sum(row >= row[target - 1])) <= 10
             total += 1
     return hits / max(1, total)
 

@@ -166,12 +166,6 @@ class SUNet(Module):
         # disconnecting the gradient path
         self.out_conv = Conv2d(ch, config.channels, rng, init_scale=0.1)
 
-    def embed_items(self, ids):
-        return nd.embedding(self.item_emb, np.asarray(ids, dtype=np.int64))
-
-    def padding_vector(self):
-        return nd.take(self.item_emb, 0)
-
     def predict_noise(self, x_t, t, c):
         """epsilon-hat for a batch: x_t (B, M, d), t int or (B,), c (B, d)."""
         x_t = nd.as_tensor(x_t)

@@ -2,7 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Criteria 7, 8, and 10 train on the synthetic benchmark and take tens of
-minutes on a laptop CPU; everything else finishes in seconds.
+minutes on a laptop CPU and carry the ``slow`` marker (``-m "not slow"``
+leaves them out); everything else finishes in seconds.
 """
 
 import os
@@ -287,6 +288,7 @@ def test_06_metric_oracle():
           f"sort-oracle match={oracle_ok}", t0)
 
 
+@pytest.mark.slow
 def test_07_guidance_steers_preference(env, classifier, diffusion_runs):
     t0 = time.time()
     gaps = {}
@@ -303,6 +305,7 @@ def test_07_guidance_steers_preference(env, classifier, diffusion_runs):
     check(7, "guidance steers preference", ok, detail, t0)
 
 
+@pytest.mark.slow
 def test_08_downstream_longtail_uplift(env, diffusion_runs):
     t0 = time.time()
     short_hr = {s: {} for s in ("none", "random_seq", "diffusion_cf")}
@@ -363,6 +366,7 @@ def test_09_alg1_boundary():
           f"1000 randomized membership cases + documented error={error_ok}", t0)
 
 
+@pytest.mark.slow
 def test_10_determinism(env, diffusion_runs):
     t0 = time.time()
     cfg = replace(env.cfg, seed=1)

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -211,6 +212,37 @@ def test_report_json_roundtrip(tmp_path, rng):
     report.save_json(path)
     again = EvalReport.from_json(path)
     assert again.to_dict() == report.to_dict()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def test_empty_group_left_out_and_report_is_strict_json(tmp_path, rng):
+    ds = make_dataset(rng, n_users=30, max_len=21)  # no user is long (> 20 items)
+    report = evaluate(RandomScorer(5, ds.num_items), leave_one_out_split(ds), ds,
+                      negatives=20, seed=2)
+    assert report.n_users["long"] == 0
+    assert set(report.per_group) == {"short", "medium"}
+    path = tmp_path / "report.json"
+    report.save_json(path)
+    with open(path, encoding="utf-8") as f:
+        loaded = json.load(f, parse_constant=_reject_constant)
+    assert "long" not in loaded["per_group"] and loaded["n_users"]["long"] == 0
+
+    with_long = _report(0.4, 0.2)
+    merged = average_reports([EvalReport.from_json(path), with_long])
+    assert merged.per_group["long"] == with_long.per_group["long"]
+    for g in ("short", "medium"):
+        assert merged.per_group[g]["hr@10"] == pytest.approx(
+            (report.per_group[g]["hr@10"] + 0.4) / 2)
+    assert "long" not in average_reports([report, report]).per_group
+
+
+def test_save_json_refuses_nan(tmp_path):
+    bad = _report(float("nan"), 0.1)
+    with pytest.raises(ValueError):
+        bad.save_json(tmp_path / "report.json")
 
 
 # ---------------------------------------------------------------------------

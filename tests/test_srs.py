@@ -63,7 +63,8 @@ def test_relabeling_equivariance(rng):
 
 def test_causal_mask_padding_slot_does_not_affect_hidden_states(rng):
     model = tiny_model(max_len=6)
-    ids_a = model.pad_batch([[7, 8, 9]])
+    # padded by hand: pad_batch trims a lone row to its own length
+    ids_a = np.array([[0, 0, 0, 7, 8, 9]], dtype=np.int64)
     ids_b = ids_a.copy()
     # perturb a padding slot's id path by comparing hidden states for a
     # history extended on the left: earlier positions must not change
@@ -87,6 +88,55 @@ def test_causality_perturbing_position_k_leaves_earlier_states_unchanged(rng):
         with nd.no_grad():
             out = model.encode(ids=mod).data
         np.testing.assert_array_equal(base[0, :k], out[0, :k])
+
+
+def _pad_to_max_len(model, sequences):
+    """The untrimmed layout: every row left-padded to max_len."""
+    L = model.config.max_len
+    out = np.zeros((len(sequences), L), dtype=np.int64)
+    for i, seq in enumerate(sequences):
+        out[i, L - len(seq):] = seq
+    return out
+
+
+def test_pad_batch_trims_to_longest_row_capped_at_max_len():
+    model = tiny_model(max_len=4)
+    np.testing.assert_array_equal(model.pad_batch([[5], [1, 2, 3]]), [[0, 0, 5], [1, 2, 3]])
+    np.testing.assert_array_equal(model.pad_batch([[1, 2, 3, 4, 5, 6], [7]]),
+                                  [[3, 4, 5, 6], [0, 0, 0, 7]])
+    with pytest.raises(ValueError):
+        model.pad_batch([[1], []])
+
+
+def test_trimmed_batch_matches_full_width_with_dropout(monkeypatch):
+    """Trimming a batch to its longest row leaves hidden states, loss and
+    every gradient as at full max_len width, dropout included: the masks are
+    drawn at max_len width, so the generator advances alike."""
+    model = tiny_model(num_items=10, d=16, blocks=2, max_len=12, dropout=0.6)
+    seqs = [[3], [1, 4, 2], [5, 6, 7, 8, 9]]
+    trimmed = model.pad_batch(seqs)
+    assert trimmed.shape == (3, 5)
+    h_trim = model.last_hidden(ids=trimmed, train=True, rng=seed_stream(9, "drop")).data
+    h_full = model.last_hidden(ids=_pad_to_max_len(model, seqs), train=True,
+                               rng=seed_stream(9, "drop")).data
+    np.testing.assert_allclose(h_trim, h_full, rtol=0, atol=1e-12)
+
+    batch = [(seq, target, [neg]) for seq, target, neg in zip(seqs, [2, 5, 10], [7, 8, 1])]
+
+    def loss_and_grads():
+        loss = srs._batch_loss(model, batch, train=True, rng=seed_stream(9, "drop"))
+        model.zero_grad()
+        nd.backward(loss)
+        return float(loss.data), {n: p.grad.copy() for n, p in model.parameters().items()}
+
+    loss_trim, grads_trim = loss_and_grads()
+    monkeypatch.setattr(model, "pad_batch", lambda s: _pad_to_max_len(model, s))
+    loss_full, grads_full = loss_and_grads()
+    assert abs(loss_trim - loss_full) <= 1e-12
+    assert grads_trim.keys() == grads_full.keys()
+    for name in grads_trim:
+        np.testing.assert_allclose(grads_trim[name], grads_full[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
 
 
 def test_embedding_matrix_path_matches_id_path_exactly(rng):
