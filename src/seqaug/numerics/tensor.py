@@ -213,7 +213,10 @@ def toposort(root):
 
 
 def backward(loss):
-    """Populate ``.grad`` for every tensor the scalar ``loss`` depends on."""
+    """Populate ``.grad`` for every leaf tensor the scalar ``loss`` depends on.
+
+    An intermediate node's gradient is dropped once it has been passed to its
+    parents, so the sweep holds only the gradients still to be propagated."""
     if loss.data.size != 1:
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.data.shape}")
     order = toposort(loss)
@@ -221,6 +224,7 @@ def backward(loss):
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,8 @@ def _fit(model, sequences, config, full_histories, valid_split=None):
             opt.step()
             epoch_loss += float(loss.data)
             n_batches += 1
+            # free this batch's graph before the next batch builds its own
+            del loss
         history["loss"].append(epoch_loss / n_batches)
         if valid_split is not None and (epoch + 1) % config.valid_every == 0:
             hr = _valid_hr10(model, valid_split)

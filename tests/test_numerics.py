@@ -207,6 +207,19 @@ def test_input_gradient_available_for_non_parameter_leaves(rng):
     assert x.grad is not None and w.grad is None
 
 
+def test_backward_keeps_leaf_gradients_and_drops_intermediate_ones(rng):
+    x = Tensor(rng.standard_normal(4), requires_grad=True)
+    shared = nd.mul(x, 3.0)
+    loss = nd.sum_(nd.add(shared, shared))
+    nd.backward(loss)
+    assert shared.grad is None and loss.grad is None
+    first = x.grad.copy()
+    # no intermediate gradient is left over to leak into a second sweep
+    x.grad = None
+    nd.backward(loss)
+    np.testing.assert_array_equal(x.grad, first)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
