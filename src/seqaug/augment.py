@@ -9,6 +9,7 @@ autoregressive generator, or none.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -99,10 +100,14 @@ def train_augmentor(ds, config, log=None):
             aug_ids = np.array([b[1] for b in batch], dtype=np.int64)
             raws = [b[2] for b in batch]
             loss = diffusion.training_loss(model, aug_ids, raws, sched, draw_rng, p_uncond=p_uncond)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise FloatingPointError(f"train-diffusion: loss {value} at epoch {epoch + 1}, "
+                                         f"batch {batches + 1}")
             model.zero_grad()
             nd.backward(loss)
             opt.step()
-            total += float(loss.data)
+            total += value
             batches += 1
         losses.append(total / batches)
         if log:

@@ -28,7 +28,6 @@ from .tensor import (
     relu,
     reshape,
     scaled_dot_attention,
-    set_default_dtype,
     set_finite_checks,
     sigmoid,
     silu,

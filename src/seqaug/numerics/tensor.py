@@ -5,9 +5,17 @@ graph once in reverse topological order and accumulates gradients into
 ``.grad``. Two precision modes are supported: float64 (tight tolerances,
 used by the test suite) and float32 (training speed). Stochastic ops take
 an explicit ``numpy.random.Generator``; there is no global RNG.
+
+Dtype rule: a Python ``int`` or ``float`` (``np.float64`` scalars included)
+becomes a tensor of the default dtype, and any other non-float input is
+cast to it; float arrays keep their dtype. An op keeps its array operands'
+dtype, so a float32 graph stays float32 end to end. A 0-d float64 array
+would not: under NumPy's scalar promotion it is a strong operand and turns
+every later node float64.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -24,14 +32,6 @@ class NonScalarLossError(ValueError):
     """backward() was asked to differentiate a non-scalar node."""
 
 
-def set_default_dtype(dtype):
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    _DEFAULT_DTYPE = dtype.type
-
-
 def default_dtype():
     return _DEFAULT_DTYPE
 
@@ -40,8 +40,11 @@ def default_dtype():
 def precision(dtype):
     """Temporarily switch the default dtype ('float32' or 'float64')."""
     global _DEFAULT_DTYPE
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
     old = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    _DEFAULT_DTYPE = dtype.type
     try:
         yield
     finally:
@@ -74,7 +77,10 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None, op="leaf"):
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data)
+        if isinstance(data, (int, float)):
+            arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        else:
+            arr = np.asarray(data)
         if arr.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             arr = arr.astype(_DEFAULT_DTYPE)
         self.data = arr
@@ -384,8 +390,9 @@ def sum_(a, axis=None, keepdims=False):
 def mean(a, axis=None, keepdims=False):
     a = as_tensor(a)
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
+    # a Python int, so g / count stays in g's dtype
+    count = a.data.size if axis is None else math.prod(
+        a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,)))
 
     def bwd(g):
         if axis is None:

@@ -25,10 +25,6 @@ def _ensure_dir(path):
     return path
 
 
-def apply_precision(config):
-    nd.set_default_dtype(config.precision)
-
-
 def run_synth(config, out_dir):
     _ensure_dir(out_dir)
     rows = synth.generate_interactions(num_users=config.synth_users, num_items=config.synth_items,
@@ -78,22 +74,22 @@ def _augment_config(config):
 
 
 def run_train_diffusion(config, data_dir, out_dir, log=None):
-    apply_precision(config)
-    _ensure_dir(out_dir)
-    ds = load_dataset_dir(data_dir)
-    acfg = _augment_config(config)
-    model, losses = aug_mod.train_augmentor(ds, acfg, log=log)
-    meta = {"net_config": {"channels": acfg.M, "embed_dim": acfg.embed_dim,
-                           "levels": acfg.levels, "channel_mult": list(acfg.channel_mult),
-                           "base_width": acfg.base_width, "res_blocks": acfg.res_blocks},
-            "num_items": ds.num_items, "augment": aug_mod._manifest(acfg)}
-    model.save(os.path.join(out_dir, "model.ckpt"), meta=meta)
-    with open(os.path.join(out_dir, "losses.json"), "w", encoding="utf-8") as f:
-        json.dump(losses, f)
-    save_manifest(os.path.join(out_dir, "manifest.json"), config,
-                  extra={"stage": "train-diffusion", "data": os.path.abspath(data_dir),
-                         "final_loss": losses[-1]})
-    return model, losses
+    with nd.precision(config.precision):
+        _ensure_dir(out_dir)
+        ds = load_dataset_dir(data_dir)
+        acfg = _augment_config(config)
+        model, losses = aug_mod.train_augmentor(ds, acfg, log=log)
+        meta = {"net_config": {"channels": acfg.M, "embed_dim": acfg.embed_dim,
+                               "levels": acfg.levels, "channel_mult": list(acfg.channel_mult),
+                               "base_width": acfg.base_width, "res_blocks": acfg.res_blocks},
+                "num_items": ds.num_items, "augment": aug_mod._manifest(acfg)}
+        model.save(os.path.join(out_dir, "model.ckpt"), meta=meta)
+        with open(os.path.join(out_dir, "losses.json"), "w", encoding="utf-8") as f:
+            json.dump(losses, f)
+        save_manifest(os.path.join(out_dir, "manifest.json"), config,
+                      extra={"stage": "train-diffusion", "data": os.path.abspath(data_dir),
+                             "final_loss": losses[-1]})
+        return model, losses
 
 
 def load_diffusion_model(model_dir):
@@ -123,23 +119,23 @@ def run_train_srs(config, data_dir, out_dir, role="backbone"):
     role: 'backbone' / 'classifier' train on forward sequences with
     validation tracking; 'reverse' trains the pre-order generator.
     """
-    apply_precision(config)
-    _ensure_dir(out_dir)
-    ds = load_dataset_dir(data_dir)
-    split = leave_one_out_split(ds)
-    model_cfg, train_cfg = _srs_configs(config, ds.num_items)
-    model = SrsModel(model_cfg, seed_stream(config.seed, "srs-init", role))
-    if role == "reverse":
-        history = srs.train_reverse(model, split, train_cfg)
-    else:
-        history = srs.train(model, split, train_cfg)
-    meta = {"srs_config": asdict(model_cfg), "role": role}
-    model.save(os.path.join(out_dir, "model.ckpt"), meta=meta)
-    with open(os.path.join(out_dir, "history.json"), "w", encoding="utf-8") as f:
-        json.dump(history, f)
-    save_manifest(os.path.join(out_dir, "manifest.json"), config,
-                  extra={"stage": "train-srs", "role": role, "data": os.path.abspath(data_dir)})
-    return model, history
+    with nd.precision(config.precision):
+        _ensure_dir(out_dir)
+        ds = load_dataset_dir(data_dir)
+        split = leave_one_out_split(ds)
+        model_cfg, train_cfg = _srs_configs(config, ds.num_items)
+        model = SrsModel(model_cfg, seed_stream(config.seed, "srs-init", role))
+        if role == "reverse":
+            history = srs.train_reverse(model, split, train_cfg)
+        else:
+            history = srs.train(model, split, train_cfg)
+        meta = {"srs_config": asdict(model_cfg), "role": role}
+        model.save(os.path.join(out_dir, "model.ckpt"), meta=meta)
+        with open(os.path.join(out_dir, "history.json"), "w", encoding="utf-8") as f:
+            json.dump(history, f)
+        save_manifest(os.path.join(out_dir, "manifest.json"), config,
+                      extra={"stage": "train-srs", "role": role, "data": os.path.abspath(data_dir)})
+        return model, history
 
 
 def load_srs_model(model_dir):
@@ -151,50 +147,69 @@ def load_srs_model(model_dir):
     return model, meta
 
 
+# (checkpoint meta key, config field): the settings sampling must share with
+# training; gamma only steers sampling and is free to differ
+_TRAINED_WITH = (("M", "M"), ("schedule", "schedule_family"), ("T", "T"),
+                 ("beta_start", "beta_start"), ("beta_end", "beta_end"))
+
+
+def _check_checkpoint(trained, acfg, model_dir):
+    """Refuse a diffusion checkpoint trained with other settings than the
+    ones ``acfg`` samples with."""
+    for key, field in _TRAINED_WITH:
+        if trained[key] != getattr(acfg, field):
+            raise ValueError(f"diffusion model in {model_dir} was trained with {field}={trained[key]!r}, "
+                             f"but the config has {field}={getattr(acfg, field)!r}")
+    if acfg.strategy == "diffusion_cf" and trained["strategy"] != "diffusion_cf":
+        raise ValueError(f"diffusion model in {model_dir} was trained with strategy={trained['strategy']!r} "
+                         "(no unconditional branch), but the config has strategy='diffusion_cf'")
+
+
 def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=None,
                 reverse_dir=None):
-    apply_precision(config)
-    _ensure_dir(out_dir)
-    ds = load_dataset_dir(data_dir)
-    acfg = _augment_config(config)
-    model = classifier = reverse_model = None
-    if acfg.strategy in ("diffusion_cg", "diffusion_cf"):
-        if diffusion_dir is None:
-            raise ValueError(f"strategy {acfg.strategy} needs --model (train-diffusion output)")
-        model, _ = load_diffusion_model(diffusion_dir)
-    if acfg.strategy == "diffusion_cg":
-        if classifier_dir is None:
-            raise ValueError("strategy diffusion_cg needs --classifier (train-srs output)")
-        classifier, _ = load_srs_model(classifier_dir)
-    if acfg.strategy == "reverse_gen":
-        if reverse_dir is None:
-            raise ValueError("strategy reverse_gen needs --reverse-model (train-srs --role reverse output)")
-        reverse_model, _ = load_srs_model(reverse_dir)
-    augmented = aug_mod.augment_dataset(ds, acfg, model=model, reverse_model=reverse_model,
-                                        classifier=classifier)
-    aug_mod.emit(augmented, out_dir, item_vocab=ds.item_vocab or None)
-    save_manifest(os.path.join(out_dir, "run_manifest.json"), config,
-                  extra={"stage": "augment", "data": os.path.abspath(data_dir)})
-    return augmented
+    with nd.precision(config.precision):
+        _ensure_dir(out_dir)
+        ds = load_dataset_dir(data_dir)
+        acfg = _augment_config(config)
+        model = classifier = reverse_model = None
+        if acfg.strategy in ("diffusion_cg", "diffusion_cf"):
+            if diffusion_dir is None:
+                raise ValueError(f"strategy {acfg.strategy} needs --model (train-diffusion output)")
+            model, meta = load_diffusion_model(diffusion_dir)
+            _check_checkpoint(meta["augment"], acfg, diffusion_dir)
+        if acfg.strategy == "diffusion_cg":
+            if classifier_dir is None:
+                raise ValueError("strategy diffusion_cg needs --classifier (train-srs output)")
+            classifier, _ = load_srs_model(classifier_dir)
+        if acfg.strategy == "reverse_gen":
+            if reverse_dir is None:
+                raise ValueError("strategy reverse_gen needs --reverse-model (train-srs --role reverse output)")
+            reverse_model, _ = load_srs_model(reverse_dir)
+        augmented = aug_mod.augment_dataset(ds, acfg, model=model, reverse_model=reverse_model,
+                                            classifier=classifier)
+        aug_mod.emit(augmented, out_dir, item_vocab=ds.item_vocab or None)
+        save_manifest(os.path.join(out_dir, "run_manifest.json"), config,
+                      extra={"stage": "augment", "data": os.path.abspath(data_dir)})
+        return augmented
 
 
 def run_evaluate(config, model_dir, data_dir, raw_data_dir, out_dir, target="test"):
     """Evaluate a trained recommender. ``data_dir`` is what it was trained on
     (supplies input sequences); ``raw_data_dir`` supplies real histories for
     negatives and user groups."""
-    apply_precision(config)
-    _ensure_dir(out_dir)
-    model, _ = load_srs_model(model_dir)
-    train_ds = load_dataset_dir(data_dir)
-    raw_ds = load_dataset_dir(raw_data_dir)
-    split = leave_one_out_split(train_ds)
-    report = evaluate(model, split, raw_ds, negatives=config.eval_negatives,
-                      seed=config.seed, k=config.eval_k, target=target)
-    report.save_json(os.path.join(out_dir, "report.json"))
-    save_manifest(os.path.join(out_dir, "manifest.json"), config,
-                  extra={"stage": "evaluate", "model": os.path.abspath(model_dir),
-                         "data": os.path.abspath(data_dir)})
-    return report
+    with nd.precision(config.precision):
+        _ensure_dir(out_dir)
+        model, _ = load_srs_model(model_dir)
+        train_ds = load_dataset_dir(data_dir)
+        raw_ds = load_dataset_dir(raw_data_dir)
+        split = leave_one_out_split(train_ds)
+        report = evaluate(model, split, raw_ds, negatives=config.eval_negatives,
+                          seed=config.seed, k=config.eval_k, target=target)
+        report.save_json(os.path.join(out_dir, "report.json"))
+        save_manifest(os.path.join(out_dir, "manifest.json"), config,
+                      extra={"stage": "evaluate", "model": os.path.abspath(model_dir),
+                             "data": os.path.abspath(data_dir)})
+        return report
 
 
 def run_pipeline_once(config, raw_dir, work_dir, strategy=None, seed=None):

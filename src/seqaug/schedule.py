@@ -5,7 +5,10 @@ given bounds; ``cosine`` and ``sqrt`` are defined through a target
 signal-retention curve alpha_bar(t) and converted back to betas (clipped
 to 0.999); ``sigmoid`` warps beta between the bounds along a logistic
 curve over [-6, 6]. All derived arrays are float64 regardless of the
-engine precision mode.
+engine precision mode. They enter float32 math in one of two ways, so they
+never widen it: as Python floats (``float(sched.beta[t - 1])``), which take
+the operand's dtype, or as arrays cast to x's dtype first
+(``diffusion.forward_sample``).
 """
 
 from dataclasses import dataclass, field

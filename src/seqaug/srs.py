@@ -10,6 +10,7 @@ items yields one (input, next-item) example, scored with a binary
 cross-entropy over the positive logit plus sampled negative logits.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,10 +242,14 @@ def _fit(model, sequences, config, full_histories, valid_split=None):
                 negs = sample_negatives(num_items, full_histories[user], config.neg_per_pos, neg_rng)
                 rows.append((prefix, target, negs))
             loss = _batch_loss(model, rows, train=True, rng=drop_rng)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise FloatingPointError(f"train-srs: loss {value} at epoch {epoch + 1}, "
+                                         f"batch {n_batches + 1}")
             model.zero_grad()
             nd.backward(loss)
             opt.step()
-            epoch_loss += float(loss.data)
+            epoch_loss += value
             n_batches += 1
             # free this batch's graph before the next batch builds its own
             del loss

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from seqaug import augment as am
+from seqaug import numerics as nd
 from seqaug import synth
 from seqaug.augment import AugmentConfig, AugmentedDataset, augment_dataset, emit, train_augmentor
 from seqaug.dataset import (EmptyDiffusionSetError, InteractionDataset,
-                            leave_one_out_split, load_sequences)
+                            build_diffusion_training_set, leave_one_out_split,
+                            load_sequences)
 from seqaug.numerics import seed_stream
 from seqaug.srs import SrsConfig, SrsModel, SrsTrainConfig, train_reverse
 
@@ -56,6 +58,22 @@ def test_train_augmentor_loss_decreases(chain_ds):
     model, losses = train_augmentor(chain_ds, small_config(epochs=5))
     assert len(losses) == 5
     assert losses[-1] < losses[0]
+
+
+def test_train_augmentor_stops_at_the_first_non_finite_loss(chain_ds, monkeypatch):
+    cfg = small_config(epochs=3)
+    per_epoch = -(-len(build_diffusion_training_set(chain_ds, cfg.M)) // cfg.batch_size)
+    real, calls = am.diffusion.training_loss, []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        loss = real(*args, **kwargs)
+        return nd.mul(loss, float("nan")) if len(calls) == per_epoch + 2 else loss
+
+    monkeypatch.setattr(am.diffusion, "training_loss", poisoned)
+    with pytest.raises(FloatingPointError, match="train-diffusion: loss nan at epoch 2, batch 2$"):
+        train_augmentor(chain_ds, cfg)
+    assert len(calls) == per_epoch + 2
 
 
 def test_train_augmentor_checkpoint_reproduces_loss(chain_ds, tmp_path):

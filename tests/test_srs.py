@@ -205,6 +205,23 @@ def test_training_deterministic_given_seed():
     np.testing.assert_array_equal(runs[0], runs[1])
 
 
+def test_training_stops_at_the_first_non_finite_loss(monkeypatch):
+    split = leave_one_out_split(alternating_dataset(n_users=6, length=6))
+    cfg = SrsTrainConfig(epochs=3, batch_size=4, seed=2)
+    per_epoch = -(-len(srs.build_examples(split.train)) // cfg.batch_size)
+    real, calls = srs._batch_loss, []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        loss = real(*args, **kwargs)
+        return nd.mul(loss, float("inf")) if len(calls) == per_epoch + 2 else loss
+
+    monkeypatch.setattr(srs, "_batch_loss", poisoned)
+    with pytest.raises(FloatingPointError, match="train-srs: loss inf at epoch 2, batch 2$"):
+        srs.train(tiny_model(num_items=2, max_len=6), split, cfg)
+    assert len(calls) == per_epoch + 2
+
+
 def test_trained_model_beats_popularity_baseline(rng):
     # first-order chain where popularity is uninformative (uniform stationary)
     from seqaug import synth
