@@ -2,66 +2,27 @@
 augmentor, generate M pre-order items per user with the chosen strategy,
 and emit a dataset that loads back through the normal ingestion path.
 
-Strategies: the two guided-diffusion variants, uniform-random items,
-random picks from the user's own sequence, the reverse-trained
-autoregressive generator, or none.
+Strategies (``config.STRATEGIES``): the two guided-diffusion variants
+``diffusion_cf`` (classifier-free) and ``diffusion_cg`` (classifier
+guidance), uniform-random items (``random``), random picks from the user's
+own sequence (``random_seq``), the reverse-trained autoregressive generator
+(``reverse_gen``), or ``none``. Every function here reads the RunConfig.
 """
 
 import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diffusion, srs
 from . import numerics as nd
-from .dataset import (EmptyDiffusionSetError, InteractionDataset,
-                      build_diffusion_training_set, group_of, save_sequences,
-                      save_vocab)
+from .dataset import (InteractionDataset, build_diffusion_training_set, group_of,
+                      save_sequences, save_vocab)
 from .numerics import seed_stream
-from .schedule import make_schedule
 from .sunet import SUNet, SUNetConfig
-
-STRATEGIES = ("diffusion_cg", "diffusion_cf", "random", "random_seq", "reverse_gen", "none")
-
-
-@dataclass
-class AugmentConfig:
-    M: int = 6
-    strategy: str = "diffusion_cf"
-    gamma: float = 1.0
-    schedule_family: str = "linear"
-    T: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    embed_dim: int = 64
-    base_width: int = 32
-    levels: int = 2
-    channel_mult: tuple = (1, 2)
-    res_blocks: int = 2
-    epochs: int = 200
-    batch_size: int = 128
-    lr: float = 1e-3
-    p_uncond: float = 0.1
-    seed: int = 1
-    exclude_test: bool = True
-    short_only: bool = False
-    sample_batch: int = 128
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.strategy != "none" and self.M < 1:
-            raise ValueError(f"M must be >= 1 for strategy {self.strategy!r}, got {self.M}")
-
-    def config_hash(self):
-        blob = json.dumps(asdict(self), sort_keys=True, default=list).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
-
-    def schedule(self):
-        return make_schedule(self.schedule_family, self.T, self.beta_start, self.beta_end)
 
 
 @dataclass
@@ -82,21 +43,21 @@ def train_augmentor(ds, config, log=None):
     pairs = build_diffusion_training_set(ds, config.M, exclude_test=config.exclude_test)
     sched = config.schedule()
     net_cfg = SUNetConfig(channels=config.M, embed_dim=config.embed_dim, levels=config.levels,
-                          channel_mult=tuple(config.channel_mult), base_width=config.base_width,
+                          channel_mult=config.channel_mult, base_width=config.base_width,
                           res_blocks=config.res_blocks)
     model = SUNet(net_cfg, ds.num_items, seed_stream(config.seed, "sunet-init"))
-    opt = nd.Adam(list(model.parameters().values()), lr=config.lr)
+    opt = nd.Adam(list(model.parameters().values()), lr=config.diff_lr)
     shuffle_rng = seed_stream(config.seed, "diff-shuffle")
     draw_rng = seed_stream(config.seed, "diff-draws")
     p_uncond = config.p_uncond if config.strategy == "diffusion_cf" else 0.0
 
     losses = []
     order = np.arange(len(pairs))
-    for epoch in range(config.epochs):
+    for epoch in range(config.diff_epochs):
         shuffle_rng.shuffle(order)
         total, batches = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [pairs[i] for i in order[start:start + config.batch_size]]
+        for start in range(0, len(order), config.diff_batch_size):
+            batch = [pairs[i] for i in order[start:start + config.diff_batch_size]]
             aug_ids = np.array([b[1] for b in batch], dtype=np.int64)
             raws = [b[2] for b in batch]
             loss = diffusion.training_loss(model, aug_ids, raws, sched, draw_rng, p_uncond=p_uncond)
@@ -111,7 +72,7 @@ def train_augmentor(ds, config, log=None):
             batches += 1
         losses.append(total / batches)
         if log:
-            log(f"epoch {epoch + 1}/{config.epochs}: loss {losses[-1]:.5f}")
+            log(f"epoch {epoch + 1}/{config.diff_epochs}: loss {losses[-1]:.5f}")
     return model, losses
 
 
@@ -122,18 +83,12 @@ def _conditioning_sequence(seq, exclude_test):
 
 def augment_dataset(ds, config, model=None, reverse_model=None, classifier=None):
     """Produce M pre-order items for every user (or only the short group
-    when ``short_only``); other users keep an empty prefix."""
-    entries = {}
+    when ``short_only``); other users keep an empty prefix. Users keep the
+    order of ``ds``."""
+    entries = {u: ([], list(seq)) for u, seq in ds.users.items()}
     targets = [u for u in ds.users
                if not config.short_only or group_of(len(ds.users[u])) == "short"]
-    target_set = set(targets)
-    for u, seq in ds.users.items():
-        if u not in target_set:
-            entries[u] = ([], list(seq))
-    if config.strategy == "none":
-        return AugmentedDataset(entries={u: ([], list(s)) for u, s in ds.users.items()},
-                                num_items=ds.num_items, manifest=_manifest(config))
-
+    zero_rows = 0
     if config.strategy in ("random", "random_seq"):
         for u in targets:
             rng = seed_stream(config.seed, "aug-" + config.strategy, int(u))
@@ -150,40 +105,40 @@ def augment_dataset(ds, config, model=None, reverse_model=None, classifier=None)
             cond = _conditioning_sequence(ds.users[u], config.exclude_test)
             aug = srs.generate_preorder(reverse_model, cond, config.M)
             entries[u] = (aug, list(ds.users[u]))
-    else:
+    elif config.strategy != "none":
         if model is None:
             raise ValueError(f"{config.strategy} needs a trained diffusion model")
         sched = config.schedule()
-        if config.strategy == "diffusion_cg":
-            guidance = diffusion.GuidanceConfig(strategy="classifier_guide",
-                                                gamma=config.gamma, classifier=classifier)
-        else:
-            guidance = diffusion.GuidanceConfig(strategy="classifier_free", gamma=config.gamma)
+        guidance = diffusion.GuidanceConfig(config.strategy, config.gamma, classifier)
         for start in range(0, len(targets), config.sample_batch):
             chunk = targets[start:start + config.sample_batch]
             raws = [_conditioning_sequence(ds.users[u], config.exclude_test) for u in chunk]
             x0_hat = diffusion.sample(model, raws, config.M, guidance, sched,
                                       seed=config.seed, user_keys=chunk)
-            ids, _ = diffusion.round_to_items(x0_hat, model.item_emb.data, forbid_padding=True)
+            if not np.isfinite(x0_hat).all():
+                raise FloatingPointError(f"augment: {config.strategy} sampled a non-finite value "
+                                         f"in the chunk starting at user {chunk[0]}")
+            ids, zeros = diffusion.round_to_items(x0_hat, model.item_emb.data, forbid_padding=True)
+            zero_rows += zeros
             for u, row in zip(chunk, ids):
                 entries[u] = ([int(v) for v in row], list(ds.users[u]))
-    return AugmentedDataset(entries=entries, num_items=ds.num_items, manifest=_manifest(config))
+    manifest = {**_manifest(config), "zero_rows": zero_rows}
+    return AugmentedDataset(entries=entries, num_items=ds.num_items, manifest=manifest)
+
+
+# the settings an augmented dataset and a diffusion checkpoint record
+_MANIFEST_FIELDS = ("strategy", "M", "gamma", "schedule_family", "T", "beta_start", "beta_end",
+                    "seed", "exclude_test", "short_only")
+
+
+def config_hash(config):
+    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _manifest(config):
-    return {
-        "strategy": config.strategy,
-        "M": config.M,
-        "gamma": config.gamma,
-        "schedule": config.schedule_family,
-        "T": config.T,
-        "beta_start": config.beta_start,
-        "beta_end": config.beta_end,
-        "seed": config.seed,
-        "exclude_test": config.exclude_test,
-        "short_only": config.short_only,
-        "config_hash": config.config_hash(),
-    }
+    return {**{name: getattr(config, name) for name in _MANIFEST_FIELDS},
+            "config_hash": config_hash(config)}
 
 
 def emit(aug, out_dir, item_vocab=None):

@@ -9,6 +9,10 @@ artifacts alone.
 import json
 from dataclasses import asdict, dataclass, fields
 
+from .schedule import make_schedule
+
+STRATEGIES = ("diffusion_cg", "diffusion_cf", "random", "random_seq", "reverse_gen", "none")
+
 
 class ConfigError(ValueError):
     """Carries every offending field at once."""
@@ -66,9 +70,8 @@ class RunConfig:
             problems.append(f"min_len must be >= 3 (split needs 3 items), got {self.min_len}")
         if self.M < 1:
             problems.append(f"M must be >= 1, got {self.M}")
-        if self.strategy not in ("diffusion_cg", "diffusion_cf", "random", "random_seq",
-                                 "reverse_gen", "none"):
-            problems.append(f"unknown strategy {self.strategy!r}")
+        if self.strategy not in STRATEGIES:
+            problems.append(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.gamma < 0:
             problems.append(f"gamma must be >= 0, got {self.gamma}")
         if self.schedule_family not in ("linear", "sqrt", "cosine", "sigmoid"):
@@ -100,6 +103,14 @@ class RunConfig:
 
     def to_dict(self):
         return asdict(self)
+
+    @property
+    def channel_mult(self):
+        """SU-Net width multiplier per level: the width doubles at each level."""
+        return tuple(2**i for i in range(self.levels))
+
+    def schedule(self):
+        return make_schedule(self.schedule_family, self.T, self.beta_start, self.beta_end)
 
 
 def _coerce(name, raw, target_type):

@@ -154,12 +154,17 @@ def save_vocab(ds, path):
 def load_vocab(path):
     vocab = {}
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            raw_id, dense_id = line.split("\t")
-            vocab[int(raw_id)] = int(dense_id)
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(parts)}")
+            try:
+                vocab[int(parts[0])] = int(parts[1])
+            except ValueError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
     return vocab
 
 
@@ -201,13 +206,3 @@ def group_of(n):
     if n <= 20:
         return GROUP_MEDIUM
     return GROUP_LONG
-
-
-def assign_groups(ds):
-    return {user: group_of(len(seq)) for user, seq in ds.users.items()}
-
-
-def reverse_interactions(ds):
-    """Dataset with every user's sequence reversed (an involution)."""
-    return InteractionDataset(users={u: list(reversed(s)) for u, s in ds.users.items()},
-                              num_items=ds.num_items, item_vocab=dict(ds.item_vocab))

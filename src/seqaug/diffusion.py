@@ -12,24 +12,22 @@ import numpy as np
 from . import numerics as nd
 from .numerics import Tensor, seed_stream
 
-STRATEGY_NONE = "none"
-STRATEGY_CLASSIFIER_GUIDE = "classifier_guide"
-STRATEGY_CLASSIFIER_FREE = "classifier_free"
-
 
 @dataclass
 class GuidanceConfig:
-    strategy: str = STRATEGY_NONE
+    """``diffusion_cf`` or ``diffusion_cg``; gamma = 0 is the conditional prediction."""
+
+    strategy: str = "diffusion_cf"
     gamma: float = 0.0
-    classifier: object = None  # pretrained SrsModel, required for classifier_guide
+    classifier: object = None  # pretrained SrsModel, required for diffusion_cg
 
     def __post_init__(self):
-        if self.strategy not in (STRATEGY_NONE, STRATEGY_CLASSIFIER_GUIDE, STRATEGY_CLASSIFIER_FREE):
+        if self.strategy not in ("diffusion_cf", "diffusion_cg"):
             raise ValueError(f"unknown guidance strategy {self.strategy!r}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.strategy == STRATEGY_CLASSIFIER_GUIDE and self.classifier is None:
-            raise ValueError("classifier_guide needs a pretrained classifier model")
+        if self.strategy == "diffusion_cg" and self.classifier is None:
+            raise ValueError("diffusion_cg needs a pretrained classifier model")
 
 
 def forward_sample(x0, t, eps, sched):
@@ -145,8 +143,8 @@ def guide_noise(model, x_t, t, c, guidance, sched, raw_first_items=None):
     """Guided noise estimate for one reverse step; returns an array shaped
     like x_t.
 
-    classifier_free extrapolates conditional vs padding-conditioned
-    predictions, eps_cond + gamma * (eps_cond - eps_uncond). classifier_guide
+    diffusion_cf extrapolates conditional vs padding-conditioned
+    predictions, eps_cond + gamma * (eps_cond - eps_uncond). diffusion_cg
     shifts the conditional prediction by -gamma * sqrt(1 - ab_t) times the
     scorer's input-gradient of log p(first real item | generated state).
     gamma = 0 reduces both to the conditional prediction bitwise.
@@ -154,7 +152,7 @@ def guide_noise(model, x_t, t, c, guidance, sched, raw_first_items=None):
     c_data = c.data if isinstance(c, Tensor) else np.asarray(c)
     b = x_t.shape[0]
     with nd.no_grad():
-        if guidance.strategy == STRATEGY_CLASSIFIER_FREE and guidance.gamma != 0.0:
+        if guidance.strategy == "diffusion_cf" and guidance.gamma != 0.0:
             pad = model.item_emb.data[0]
             both_c = np.concatenate([c_data, np.broadcast_to(pad, c_data.shape)], axis=0)
             both_x = np.concatenate([x_t, x_t], axis=0)
@@ -162,9 +160,9 @@ def guide_noise(model, x_t, t, c, guidance, sched, raw_first_items=None):
             eps_cond, eps_uncond = out[:b], out[b:]
             return eps_cond + guidance.gamma * (eps_cond - eps_uncond)
         eps_cond = model.predict_noise(x_t, t, c_data).data
-    if guidance.strategy == STRATEGY_CLASSIFIER_GUIDE and guidance.gamma != 0.0:
+    if guidance.strategy == "diffusion_cg" and guidance.gamma != 0.0:
         if raw_first_items is None:
-            raise ValueError("classifier_guide needs the first item of each raw sequence")
+            raise ValueError("diffusion_cg needs the first item of each raw sequence")
         grad = scorer_input_gradient(guidance.classifier, x_t, raw_first_items)
         scale = guidance.gamma * float(np.sqrt(1.0 - sched.alpha_bar[t - 1]))
         return eps_cond - scale * grad

@@ -6,14 +6,12 @@ import json
 import os
 from dataclasses import asdict
 
-import numpy as np
-
 from . import augment as aug_mod
-from . import diffusion, srs, synth
+from . import srs, synth
 from . import numerics as nd
 from .config import save_manifest
-from .dataset import (InteractionDataset, leave_one_out_split, load_sequences,
-                      load_interactions, load_vocab, save_sequences, save_vocab)
+from .dataset import (leave_one_out_split, load_interactions, load_sequences, load_vocab,
+                      save_sequences, save_vocab)
 from .evaluation import average_reports, compare, evaluate
 from .numerics import seed_stream
 from .srs import SrsConfig, SrsModel, SrsTrainConfig
@@ -61,28 +59,18 @@ def load_dataset_dir(data_dir):
 
 
 def _augment_config(config):
-    return aug_mod.AugmentConfig(
-        M=config.M, strategy=config.strategy, gamma=config.gamma,
-        schedule_family=config.schedule_family, T=config.T,
-        beta_start=config.beta_start, beta_end=config.beta_end,
-        embed_dim=config.embed_dim, base_width=config.base_width, levels=config.levels,
-        channel_mult=tuple(2**i for i in range(config.levels)),
-        res_blocks=config.res_blocks, epochs=config.diff_epochs,
-        batch_size=config.diff_batch_size, lr=config.diff_lr, p_uncond=config.p_uncond,
-        seed=config.seed, exclude_test=config.exclude_test, short_only=config.short_only,
-        sample_batch=config.sample_batch)
+    # the augment stage reads the RunConfig itself; this identity stays because
+    # perfbench/test_bench.py and acceptance 07 call it
+    return config
 
 
 def run_train_diffusion(config, data_dir, out_dir, log=None):
     with nd.precision(config.precision):
         _ensure_dir(out_dir)
         ds = load_dataset_dir(data_dir)
-        acfg = _augment_config(config)
-        model, losses = aug_mod.train_augmentor(ds, acfg, log=log)
-        meta = {"net_config": {"channels": acfg.M, "embed_dim": acfg.embed_dim,
-                               "levels": acfg.levels, "channel_mult": list(acfg.channel_mult),
-                               "base_width": acfg.base_width, "res_blocks": acfg.res_blocks},
-                "num_items": ds.num_items, "augment": aug_mod._manifest(acfg)}
+        model, losses = aug_mod.train_augmentor(ds, config, log=log)
+        meta = {"net_config": asdict(model.config), "num_items": ds.num_items,
+                "augment": aug_mod._manifest(config)}
         model.save(os.path.join(out_dir, "model.ckpt"), meta=meta)
         with open(os.path.join(out_dir, "losses.json"), "w", encoding="utf-8") as f:
             json.dump(losses, f)
@@ -96,9 +84,7 @@ def load_diffusion_model(model_dir):
     from .numerics.checkpoint import load_checkpoint
     arrays, meta = load_checkpoint(os.path.join(model_dir, "model.ckpt"))
     net = meta["net_config"]
-    cfg = SUNetConfig(channels=net["channels"], embed_dim=net["embed_dim"], levels=net["levels"],
-                      channel_mult=tuple(net["channel_mult"]), base_width=net["base_width"],
-                      res_blocks=net["res_blocks"])
+    cfg = SUNetConfig(**{**net, "channel_mult": tuple(net["channel_mult"])})
     model = SUNet(cfg, meta["num_items"], seed_stream(0, "sunet-load"))
     model.load_state_arrays(arrays)
     return model, meta
@@ -147,20 +133,30 @@ def load_srs_model(model_dir):
     return model, meta
 
 
-# (checkpoint meta key, config field): the settings sampling must share with
-# training; gamma only steers sampling and is free to differ
-_TRAINED_WITH = (("M", "M"), ("schedule", "schedule_family"), ("T", "T"),
-                 ("beta_start", "beta_start"), ("beta_end", "beta_end"))
+def _load_recommender(model_dir, needed_by, reverse):
+    """A train-srs checkpoint for ``needed_by``; refuses one trained in the
+    other direction (role 'reverse' vs 'backbone' / 'classifier')."""
+    model, meta = load_srs_model(model_dir)
+    if (meta["role"] == "reverse") != reverse:
+        need = "'reverse'" if reverse else "'backbone' or 'classifier'"
+        raise ValueError(f"recommender in {model_dir} has role={meta['role']!r}, "
+                         f"but {needed_by} needs role {need}")
+    return model
 
 
-def _check_checkpoint(trained, acfg, model_dir):
+# the settings sampling must share with training; gamma only steers sampling
+# and is free to differ
+_TRAINED_WITH = ("M", "schedule_family", "T", "beta_start", "beta_end")
+
+
+def _check_checkpoint(trained, config, model_dir):
     """Refuse a diffusion checkpoint trained with other settings than the
-    ones ``acfg`` samples with."""
-    for key, field in _TRAINED_WITH:
-        if trained[key] != getattr(acfg, field):
-            raise ValueError(f"diffusion model in {model_dir} was trained with {field}={trained[key]!r}, "
-                             f"but the config has {field}={getattr(acfg, field)!r}")
-    if acfg.strategy == "diffusion_cf" and trained["strategy"] != "diffusion_cf":
+    ones ``config`` samples with."""
+    for name in _TRAINED_WITH:
+        if trained.get(name) != getattr(config, name):
+            raise ValueError(f"diffusion model in {model_dir} was trained with {name}={trained.get(name)!r}, "
+                             f"but the config has {name}={getattr(config, name)!r}")
+    if config.strategy == "diffusion_cf" and trained["strategy"] != "diffusion_cf":
         raise ValueError(f"diffusion model in {model_dir} was trained with strategy={trained['strategy']!r} "
                          "(no unconditional branch), but the config has strategy='diffusion_cf'")
 
@@ -170,22 +166,21 @@ def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=No
     with nd.precision(config.precision):
         _ensure_dir(out_dir)
         ds = load_dataset_dir(data_dir)
-        acfg = _augment_config(config)
         model = classifier = reverse_model = None
-        if acfg.strategy in ("diffusion_cg", "diffusion_cf"):
+        if config.strategy in ("diffusion_cg", "diffusion_cf"):
             if diffusion_dir is None:
-                raise ValueError(f"strategy {acfg.strategy} needs --model (train-diffusion output)")
+                raise ValueError(f"strategy {config.strategy} needs --model (train-diffusion output)")
             model, meta = load_diffusion_model(diffusion_dir)
-            _check_checkpoint(meta["augment"], acfg, diffusion_dir)
-        if acfg.strategy == "diffusion_cg":
+            _check_checkpoint(meta["augment"], config, diffusion_dir)
+        if config.strategy == "diffusion_cg":
             if classifier_dir is None:
                 raise ValueError("strategy diffusion_cg needs --classifier (train-srs output)")
-            classifier, _ = load_srs_model(classifier_dir)
-        if acfg.strategy == "reverse_gen":
+            classifier = _load_recommender(classifier_dir, "--classifier", reverse=False)
+        if config.strategy == "reverse_gen":
             if reverse_dir is None:
                 raise ValueError("strategy reverse_gen needs --reverse-model (train-srs --role reverse output)")
-            reverse_model, _ = load_srs_model(reverse_dir)
-        augmented = aug_mod.augment_dataset(ds, acfg, model=model, reverse_model=reverse_model,
+            reverse_model = _load_recommender(reverse_dir, "--reverse-model", reverse=True)
+        augmented = aug_mod.augment_dataset(ds, config, model=model, reverse_model=reverse_model,
                                             classifier=classifier)
         aug_mod.emit(augmented, out_dir, item_vocab=ds.item_vocab or None)
         save_manifest(os.path.join(out_dir, "run_manifest.json"), config,
@@ -199,9 +194,12 @@ def run_evaluate(config, model_dir, data_dir, raw_data_dir, out_dir, target="tes
     negatives and user groups."""
     with nd.precision(config.precision):
         _ensure_dir(out_dir)
-        model, _ = load_srs_model(model_dir)
+        model = _load_recommender(model_dir, "evaluate", reverse=False)
         train_ds = load_dataset_dir(data_dir)
         raw_ds = load_dataset_dir(raw_data_dir)
+        if model.config.num_items < raw_ds.num_items:
+            raise ValueError(f"recommender in {model_dir} has num_items={model.config.num_items}, "
+                             f"but the raw data in {raw_data_dir} has num_items={raw_ds.num_items}")
         split = leave_one_out_split(train_ds)
         report = evaluate(model, split, raw_ds, negatives=config.eval_negatives,
                           seed=config.seed, k=config.eval_k, target=target)

@@ -11,7 +11,7 @@ cross-entropy over the positive logit plus sampled negative logits.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class SrsConfig:
     blocks: int = 2
     max_len: int = 200
     dropout: float = 0.6
-    ffn_mult: int = 1
 
 
 @dataclass
@@ -36,21 +35,19 @@ class SrsTrainConfig:
     epochs: int = 50
     batch_size: int = 512
     lr: float = 1e-3
-    neg_per_pos: int = 1
     seed: int = 1
-    valid_every: int = 1
     keep_best: bool = True
 
 
 class AttnFFNBlock(Module):
-    def __init__(self, d, ffn_mult, rng):
+    def __init__(self, d, rng):
         self.norm1 = LayerNorm(d)
         self.q = Linear(d, d, rng)
         self.k = Linear(d, d, rng)
         self.v = Linear(d, d, rng)
         self.norm2 = LayerNorm(d)
-        self.ffn1 = Linear(d, d * ffn_mult, rng)
-        self.ffn2 = Linear(d * ffn_mult, d, rng)
+        self.ffn1 = Linear(d, d, rng)
+        self.ffn2 = Linear(d, d, rng)
 
     def __call__(self, h, mask, drop_rate, train, rng, max_len):
         a = self.norm1(h)
@@ -73,7 +70,7 @@ class SrsModel(Module):
         d = config.embed_dim
         self.item_emb = param(rng.standard_normal((config.num_items + 1, d)) * 0.1)
         self.pos_emb = param(rng.standard_normal((config.max_len, d)) * 0.1)
-        self.blocks = [AttnFFNBlock(d, config.ffn_mult, rng) for _ in range(config.blocks)]
+        self.blocks = [AttnFFNBlock(d, rng) for _ in range(config.blocks)]
         self.final_norm = LayerNorm(d)
 
     # -- encoding ----------------------------------------------------------
@@ -239,7 +236,7 @@ def _fit(model, sequences, config, full_histories, valid_split=None):
             rows = []
             for idx in order[start:start + config.batch_size]:
                 user, prefix, target = examples[idx]
-                negs = sample_negatives(num_items, full_histories[user], config.neg_per_pos, neg_rng)
+                negs = sample_negatives(num_items, full_histories[user], 1, neg_rng)
                 rows.append((prefix, target, negs))
             loss = _batch_loss(model, rows, train=True, rng=drop_rng)
             value = float(loss.data)
@@ -254,7 +251,7 @@ def _fit(model, sequences, config, full_histories, valid_split=None):
             # free this batch's graph before the next batch builds its own
             del loss
         history["loss"].append(epoch_loss / n_batches)
-        if valid_split is not None and (epoch + 1) % config.valid_every == 0:
+        if valid_split is not None:
             hr = _valid_hr10(model, valid_split)
             history["valid_hr10"].append(hr)
             if config.keep_best and hr > best[0]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nd
-from .numerics import Conv2d, LayerNorm, Linear, Module, Tensor, param
+from .numerics import Conv2d, LayerNorm, Linear, Module, param
 
 
 def sinusoidal_step_embedding(t, dim):
@@ -30,14 +30,6 @@ def sinusoidal_step_embedding(t, dim):
     ang = t_arr[..., None] * w
     emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
     return emb.astype(nd.default_dtype())
-
-
-def condition_vector(raw_items, table):
-    """Mean of the raw sequence's embedding rows (the guidance signal c)."""
-    if len(raw_items) == 0:
-        raise ValueError("condition_vector needs a nonempty sequence; use the padding row for the unconditional branch")
-    ids = np.asarray(raw_items, dtype=np.int64)
-    return nd.mean(nd.embedding(table, ids), axis=0)
 
 
 @dataclass(frozen=True)

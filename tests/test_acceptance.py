@@ -77,7 +77,7 @@ def _sample_augmentations(env, model, gamma, seed):
     sequence minus its test item."""
     acfg = pipeline._augment_config(replace(env.cfg, seed=seed, gamma=gamma))
     sched = acfg.schedule()
-    guidance = GuidanceConfig("classifier_free", gamma)
+    guidance = GuidanceConfig("diffusion_cf", gamma)
     users = list(env.ds.users.keys())
     out = {}
     for start in range(0, len(users), acfg.sample_batch):
@@ -181,7 +181,7 @@ def test_04_guidance_algebra():
     with nd.no_grad():
         cond = net.predict_noise(x, 4, c).data
 
-    cf_zero = dm.guide_noise(net, x, 4, c, GuidanceConfig("classifier_free", 0.0), sched)
+    cf_zero = dm.guide_noise(net, x, 4, c, GuidanceConfig("diffusion_cf", 0.0), sched)
     bitwise = np.array_equal(cf_zero, cond)
 
     fixed = rng.standard_normal((1, 2, 16))
@@ -195,14 +195,14 @@ def test_04_guidance_algebra():
 
     invariant = all(
         np.array_equal(dm.guide_noise(Stub(), x, 4, c,
-                                      GuidanceConfig("classifier_free", g), sched),
+                                      GuidanceConfig("diffusion_cf", g), sched),
                        np.broadcast_to(fixed, (2, 2, 16)))
         for g in (0.0, 0.1, 1.0, 10.0, 100.0))
 
     phi = SrsModel(SrsConfig(num_items=10, embed_dim=16, blocks=1, max_len=4, dropout=0.0),
                    seed_stream(2, "accept-clf"))
     cg_zero = dm.guide_noise(net, x, 4, c,
-                             GuidanceConfig("classifier_guide", 0.0, classifier=phi),
+                             GuidanceConfig("diffusion_cg", 0.0, classifier=phi),
                              sched, raw_first_items=[1, 2])
     cg_ok = np.array_equal(cg_zero, cond)
     ok = bitwise and invariant and cg_ok

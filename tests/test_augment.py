@@ -6,7 +6,8 @@ import pytest
 from seqaug import augment as am
 from seqaug import numerics as nd
 from seqaug import synth
-from seqaug.augment import AugmentConfig, AugmentedDataset, augment_dataset, emit, train_augmentor
+from seqaug.augment import AugmentedDataset, augment_dataset, emit, train_augmentor
+from seqaug.config import STRATEGIES, RunConfig
 from seqaug.dataset import (EmptyDiffusionSetError, InteractionDataset,
                             build_diffusion_training_set, leave_one_out_split,
                             load_sequences)
@@ -16,11 +17,11 @@ from seqaug.srs import SrsConfig, SrsModel, SrsTrainConfig, train_reverse
 
 def small_config(**kw):
     base = dict(M=3, strategy="diffusion_cf", gamma=0.5, schedule_family="linear",
-                T=8, beta_start=0.02, beta_end=0.3, embed_dim=16, base_width=8,
-                levels=2, channel_mult=(1, 2), res_blocks=1, epochs=3, batch_size=16,
-                lr=1e-3, seed=3)
+                T=8, beta_start=0.02, beta_end=0.3, embed_dim=16, srs_embed_dim=16,
+                base_width=8, levels=2, res_blocks=1, diff_epochs=3, diff_batch_size=16,
+                diff_lr=1e-3, seed=3)
     base.update(kw)
-    return AugmentConfig(**base)
+    return RunConfig(**base).validate()
 
 
 @pytest.fixture
@@ -45,8 +46,9 @@ def test_config_rejects_m_zero_for_real_strategy():
 
 def test_config_hash_changes_with_any_field():
     a, b = small_config(), small_config(gamma=0.6)
-    assert a.config_hash() != b.config_hash()
-    assert a.config_hash() == small_config().config_hash()
+    assert am.config_hash(a) != am.config_hash(b)
+    assert am.config_hash(a) == am.config_hash(small_config())
+    assert am.config_hash(a) != am.config_hash(small_config(srs_epochs=7))
 
 
 def test_train_augmentor_m_too_large_raises(chain_ds):
@@ -55,14 +57,14 @@ def test_train_augmentor_m_too_large_raises(chain_ds):
 
 
 def test_train_augmentor_loss_decreases(chain_ds):
-    model, losses = train_augmentor(chain_ds, small_config(epochs=5))
+    model, losses = train_augmentor(chain_ds, small_config(diff_epochs=5))
     assert len(losses) == 5
     assert losses[-1] < losses[0]
 
 
 def test_train_augmentor_stops_at_the_first_non_finite_loss(chain_ds, monkeypatch):
-    cfg = small_config(epochs=3)
-    per_epoch = -(-len(build_diffusion_training_set(chain_ds, cfg.M)) // cfg.batch_size)
+    cfg = small_config(diff_epochs=3)
+    per_epoch = -(-len(build_diffusion_training_set(chain_ds, cfg.M)) // cfg.diff_batch_size)
     real, calls = am.diffusion.training_loss, []
 
     def poisoned(*args, **kwargs):
@@ -79,7 +81,7 @@ def test_train_augmentor_stops_at_the_first_non_finite_loss(chain_ds, monkeypatc
 def test_train_augmentor_checkpoint_reproduces_loss(chain_ds, tmp_path):
     from seqaug import diffusion
     from seqaug.sunet import SUNet
-    cfg = small_config(epochs=2)
+    cfg = small_config(diff_epochs=2)
     model, _ = train_augmentor(chain_ds, cfg)
     path = tmp_path / "diff.ckpt"
     model.save(path)
@@ -142,6 +144,44 @@ def test_reverse_gen_strategy(chain_ds):
         assert all(1 <= v <= chain_ds.num_items for v in aug)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_strategy_validates_and_runs_or_names_its_model(chain_ds, strategy):
+    cfg = small_config(strategy=strategy)
+    if strategy in ("none", "random", "random_seq"):
+        out = augment_dataset(chain_ds, cfg)
+        assert out.manifest["strategy"] == strategy and set(out.entries) == set(chain_ds.users)
+    else:
+        with pytest.raises(ValueError, match=f"{strategy} needs a trained"):
+            augment_dataset(chain_ds, cfg)
+
+
+def test_diffusion_sampling_refuses_non_finite_samples(chain_ds, monkeypatch):
+    cfg = small_config(diff_epochs=1, sample_batch=7)
+    model, _ = train_augmentor(chain_ds, cfg)
+    real, calls = am.diffusion.sample, []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        x = real(*args, **kwargs)
+        return x * np.nan if len(calls) == 2 else x
+
+    monkeypatch.setattr(am.diffusion, "sample", poisoned)
+    second = list(chain_ds.users)[7]
+    with pytest.raises(FloatingPointError,
+                       match=f"diffusion_cf sampled a non-finite value .* user {second}$"):
+        augment_dataset(chain_ds, cfg, model=model)
+
+
+def test_manifest_counts_zero_norm_rows(chain_ds, monkeypatch):
+    cfg = small_config(diff_epochs=1)
+    model, _ = train_augmentor(chain_ds, cfg)
+    assert augment_dataset(chain_ds, cfg, model=model).manifest["zero_rows"] == 0
+    monkeypatch.setattr(am.diffusion, "sample",
+                        lambda model, raws, M, *a, **kw: np.zeros((len(raws), M, 16)))
+    out = augment_dataset(chain_ds, cfg, model=model)
+    assert out.manifest["zero_rows"] == len(chain_ds.users) * cfg.M
+
+
 def test_reverse_gen_requires_model(chain_ds):
     with pytest.raises(ValueError, match="reverse"):
         augment_dataset(chain_ds, small_config(strategy="reverse_gen"))
@@ -153,7 +193,7 @@ def test_diffusion_strategy_requires_model(chain_ds):
 
 
 def test_diffusion_cf_end_to_end_contract(chain_ds):
-    cfg = small_config(epochs=2)
+    cfg = small_config(diff_epochs=2)
     model, _ = train_augmentor(chain_ds, cfg)
     out = augment_dataset(chain_ds, cfg, model=model)
     assert set(out.entries) == set(chain_ds.users)
@@ -164,10 +204,10 @@ def test_diffusion_cf_end_to_end_contract(chain_ds):
 
 
 def test_diffusion_cf_batch_size_independent(chain_ds):
-    cfg = small_config(epochs=2)
+    cfg = small_config(diff_epochs=2)
     model, _ = train_augmentor(chain_ds, cfg)
-    one = augment_dataset(chain_ds, small_config(epochs=2, sample_batch=7), model=model)
-    two = augment_dataset(chain_ds, small_config(epochs=2, sample_batch=128), model=model)
+    one = augment_dataset(chain_ds, small_config(diff_epochs=2, sample_batch=7), model=model)
+    two = augment_dataset(chain_ds, small_config(diff_epochs=2, sample_batch=128), model=model)
     assert one.entries == two.entries
 
 

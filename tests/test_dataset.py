@@ -49,6 +49,14 @@ def test_malformed_line_reports_line_number(tmp_path):
         dsm.load_interactions(path)
 
 
+@pytest.mark.parametrize("bad", ["7", "7\t1\t2", "x\t1"])
+def test_malformed_vocab_line_reports_line_number(tmp_path, bad):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(f"10\t1\n{bad}\n", encoding="utf-8")
+    with pytest.raises(dsm.ParseError, match="vocab.tsv:2"):
+        dsm.load_vocab(path)
+
+
 def test_empty_result_is_explicit_error(tmp_path):
     path = write_log(tmp_path, [(1, 10, 0), (1, 11, 1)])
     with pytest.raises(dsm.EmptyDatasetError):
@@ -115,11 +123,6 @@ def test_groups_partition(n):
     assert sum(dsm.group_of(n) == g for g in dsm.GROUPS) == 1
 
 
-def test_assign_groups():
-    ds = dsm.InteractionDataset(users={1: [1] * 5, 2: [1] * 6, 3: [1] * 21}, num_items=1)
-    assert dsm.assign_groups(ds) == {1: "short", 2: "medium", 3: "long"}
-
-
 def test_load_split_serialize_load_roundtrips_bit_exact(tmp_path, rng):
     rows = []
     for u in range(1, 30):
@@ -138,8 +141,3 @@ def test_load_split_serialize_load_roundtrips_bit_exact(tmp_path, rng):
     vocab_path = tmp_path / "vocab.tsv"
     dsm.save_vocab(ds, vocab_path)
     assert dsm.load_vocab(vocab_path) == ds.item_vocab
-
-
-def test_reverse_interactions_is_involution():
-    ds = dsm.InteractionDataset(users={1: [1, 2, 3], 2: [4, 5, 6, 7]}, num_items=7)
-    assert dsm.reverse_interactions(dsm.reverse_interactions(ds)).users == ds.users

@@ -139,28 +139,28 @@ def test_loss_monte_carlo_expectation_zero_predictor(sched):
 # guidance algebra
 
 
-def test_classifier_free_gamma_zero_is_conditional_bitwise(tiny_net, sched):
+def test_diffusion_cf_gamma_zero_is_conditional_bitwise(tiny_net, sched):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 2, 16))
     c = rng.standard_normal((2, 16))
-    guided = dm.guide_noise(tiny_net, x, 3, c, GuidanceConfig("classifier_free", 0.0), sched)
+    guided = dm.guide_noise(tiny_net, x, 3, c, GuidanceConfig("diffusion_cf", 0.0), sched)
     with nd.no_grad():
         cond = tiny_net.predict_noise(x, 3, c).data
     np.testing.assert_array_equal(guided, cond)
 
 
-def test_classifier_free_identical_outputs_gamma_invariant(sched):
+def test_diffusion_cf_identical_outputs_gamma_invariant(sched):
     rng = np.random.default_rng(3)
     fixed = rng.standard_normal((1, 2, 16))
     stub = StubPredictor(16, lambda x: np.broadcast_to(fixed, (x.shape[0], 2, 16)).copy())
     x = rng.standard_normal((2, 2, 16))
     c = rng.standard_normal((2, 16))
     for gamma in (0.0, 0.1, 1.0, 10.0, 100.0):
-        out = dm.guide_noise(stub, x, 2, c, GuidanceConfig("classifier_free", gamma), sched)
+        out = dm.guide_noise(stub, x, 2, c, GuidanceConfig("diffusion_cf", gamma), sched)
         np.testing.assert_array_equal(out, np.broadcast_to(fixed, (2, 2, 16)))
 
 
-def test_classifier_free_scalarized_arithmetic(sched):
+def test_diffusion_cf_scalarized_arithmetic(sched):
     """cond 1.0, uncond 0.5, gamma 1 -> 2*1.0 - 1*0.5 = 1.5"""
 
     class CondStub(StubPredictor):
@@ -174,31 +174,31 @@ def test_classifier_free_scalarized_arithmetic(sched):
     stub = CondStub(16, None)
     x = np.zeros((1, 2, 16))
     c = np.ones((1, 16))
-    out = dm.guide_noise(stub, x, 2, c, GuidanceConfig("classifier_free", 1.0), sched)
+    out = dm.guide_noise(stub, x, 2, c, GuidanceConfig("diffusion_cf", 1.0), sched)
     np.testing.assert_allclose(out, np.full((1, 2, 16), 1.5), atol=1e-12)
 
 
-def test_classifier_guide_gamma_zero_is_unguided(tiny_net, sched):
+def test_diffusion_cg_gamma_zero_is_unguided(tiny_net, sched):
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 2, 16))
     c = rng.standard_normal((2, 16))
     classifier = SrsModel(SrsConfig(num_items=12, embed_dim=16, blocks=1, max_len=4,
                                     dropout=0.0), seed_stream(1, "clf"))
-    cfg = GuidanceConfig("classifier_guide", 0.0, classifier=classifier)
+    cfg = GuidanceConfig("diffusion_cg", 0.0, classifier=classifier)
     out = dm.guide_noise(tiny_net, x, 3, c, cfg, sched, raw_first_items=[1, 2])
     with nd.no_grad():
         cond = tiny_net.predict_noise(x, 3, c).data
     np.testing.assert_array_equal(out, cond)
 
 
-def test_classifier_guide_shifts_along_scorer_gradient(tiny_net, sched):
+def test_diffusion_cg_shifts_along_scorer_gradient(tiny_net, sched):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 2, 16))
     c = rng.standard_normal((2, 16))
     classifier = SrsModel(SrsConfig(num_items=12, embed_dim=16, blocks=1, max_len=4,
                                     dropout=0.0), seed_stream(1, "clf"))
     grad = dm.scorer_input_gradient(classifier, x, [3, 4])
-    cfg = GuidanceConfig("classifier_guide", 2.0, classifier=classifier)
+    cfg = GuidanceConfig("diffusion_cg", 2.0, classifier=classifier)
     out = dm.guide_noise(tiny_net, x, 3, c, cfg, sched, raw_first_items=[3, 4])
     with nd.no_grad():
         cond = tiny_net.predict_noise(x, 3, c).data
@@ -206,9 +206,9 @@ def test_classifier_guide_shifts_along_scorer_gradient(tiny_net, sched):
     np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
 
 
-def test_classifier_guide_requires_classifier():
+def test_diffusion_cg_requires_classifier():
     with pytest.raises(ValueError, match="classifier"):
-        GuidanceConfig("classifier_guide", 1.0)
+        GuidanceConfig("diffusion_cg", 1.0)
 
 
 def test_scorer_input_gradient_matches_finite_differences():
@@ -241,7 +241,7 @@ def test_reverse_step_formula_reduction(tiny_net, sched):
     # eps_hat == 0 and sigma == 0 collapses to x / sqrt(alpha_t)
     stub = StubPredictor(16, lambda x: np.zeros_like(x))
     x = np.ones((1, 2, 16))
-    out = dm.reverse_step(stub, x, 1, np.zeros((1, 16)), GuidanceConfig("none"), sched, None)
+    out = dm.reverse_step(stub, x, 1, np.zeros((1, 16)), GuidanceConfig(), sched, None)
     np.testing.assert_allclose(out, x / np.sqrt(sched.alpha[0]), atol=1e-12)
 
 
@@ -251,7 +251,7 @@ def test_reverse_step_scalar_hand_formula():
     object.__setattr__(sched, "alpha_bar", np.array([0.9, 0.5]))
     stub = StubPredictor(16, lambda x: np.full_like(x, 0.2))
     x = np.ones((1, 2, 16))
-    out = dm.reverse_step(stub, x, 2, np.zeros((1, 16)), GuidanceConfig("none"), sched,
+    out = dm.reverse_step(stub, x, 2, np.zeros((1, 16)), GuidanceConfig(), sched,
                           np.zeros((1, 2, 16)))
     # hand evaluation of the mean formula: (1/sqrt(0.96)) * (1 - 0.04/sqrt(0.5) * 0.2)
     expected = (1.0 - (0.04 / np.sqrt(0.5)) * 0.2) / np.sqrt(0.96)
@@ -262,13 +262,13 @@ def test_reverse_step_scalar_hand_formula():
 def test_reverse_step_t_range(sched, tiny_net):
     with pytest.raises(ValueError):
         dm.reverse_step(tiny_net, np.zeros((1, 2, 16)), 0, np.zeros((1, 16)),
-                        GuidanceConfig("none"), sched, None)
+                        GuidanceConfig(), sched, None)
 
 
 def test_batched_vs_per_row_sampling_bitwise(tiny_net, sched):
     """Per-user noise streams make results independent of batch composition."""
     raws = [[1, 2, 3], [4, 5], [6, 7, 8, 9]]
-    cfg = GuidanceConfig("classifier_free", 1.0)
+    cfg = GuidanceConfig("diffusion_cf", 1.0)
     full = dm.sample(tiny_net, raws, 2, cfg, sched, seed=11, user_keys=[10, 20, 30])
     rows = [dm.sample(tiny_net, [raws[i]], 2, cfg, sched, seed=11, user_keys=[k])
             for i, k in enumerate([10, 20, 30])]
@@ -277,7 +277,7 @@ def test_batched_vs_per_row_sampling_bitwise(tiny_net, sched):
 
 def test_sample_contract_shape_and_determinism(tiny_net, sched):
     raws = [[1, 2], [3, 4, 5]]
-    cfg = GuidanceConfig("none")
+    cfg = GuidanceConfig()
     a = dm.sample(tiny_net, raws, 2, cfg, sched, seed=3)
     b = dm.sample(tiny_net, raws, 2, cfg, sched, seed=3)
     assert a.shape == (2, 2, 16)
@@ -290,8 +290,8 @@ def test_sampling_with_sigma_forced_zero_is_deterministic_function_of_xt(tiny_ne
     sched = make_schedule("linear", 5, 0.05, 0.2)
     object.__setattr__(sched, "sigma2", np.zeros(5))
     raws = [[1, 2]]
-    a = dm.sample(tiny_net, raws, 2, GuidanceConfig("none"), sched, seed=5)
-    b = dm.sample(tiny_net, raws, 2, GuidanceConfig("none"), sched, seed=5)
+    a = dm.sample(tiny_net, raws, 2, GuidanceConfig(), sched, seed=5)
+    b = dm.sample(tiny_net, raws, 2, GuidanceConfig(), sched, seed=5)
     np.testing.assert_array_equal(a, b)
 
 

@@ -1,8 +1,10 @@
 """Stage-level contracts of ``pipeline``: each stage computes at its
-configured precision without changing the caller's, and augmentation
-refuses a diffusion checkpoint trained with other settings."""
+configured precision without changing the caller's, and augmentation and
+evaluation refuse a checkpoint trained with other settings or for another
+role."""
 
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,8 @@ SIZES = {"synth_users": 30, "synth_items": 12, "M": 2, "T": 4, "beta_start": 0.0
 
 @pytest.fixture(scope="module")
 def stages(tmp_path_factory):
-    """Raw data plus a classifier-free and a classifier-guided checkpoint."""
+    """Raw data plus a classifier-free and a classifier-guided diffusion
+    checkpoint and a backbone and a reverse recommender checkpoint."""
     root = tmp_path_factory.mktemp("pipeline")
     cfg = load_config(None, SIZES)
     raw = os.path.join(root, "raw")
@@ -29,6 +32,9 @@ def stages(tmp_path_factory):
     for strategy in ("diffusion_cf", "diffusion_cg"):
         models[strategy] = os.path.join(root, strategy)
         pipeline.run_train_diffusion(replace(cfg, strategy=strategy), raw, models[strategy])
+    for role in ("backbone", "reverse"):
+        models[role] = os.path.join(root, role)
+        pipeline.run_train_srs(cfg, raw, models[role], role=role)
     return cfg, raw, models
 
 
@@ -59,8 +65,50 @@ def test_augment_refuses_a_checkpoint_trained_with_other_settings(stages, tmp_pa
     assert field in message and repr(getattr(cfg, field)) in message and repr(value) in message
 
 
-def test_classifier_free_sampling_refuses_a_model_without_an_unconditional_branch(stages, tmp_path):
+def test_diffusion_cf_sampling_refuses_a_model_without_an_unconditional_branch(stages, tmp_path):
     cfg, raw, models = stages
     with pytest.raises(ValueError, match="strategy='diffusion_cg'.*strategy='diffusion_cf'"):
         pipeline.run_augment(cfg, raw, str(tmp_path / "aug"),
                              diffusion_dir=models["diffusion_cg"])
+
+
+def test_diffusion_checkpoint_reloads_the_trained_net_config(stages, tmp_path):
+    cfg, raw, _ = stages
+    model, _ = pipeline.run_train_diffusion(cfg, raw, str(tmp_path / "diff"))
+    assert pipeline.load_diffusion_model(str(tmp_path / "diff"))[0].config == model.config
+
+
+def test_reverse_gen_refuses_a_forward_model(stages, tmp_path):
+    cfg, raw, models = stages
+    with pytest.raises(ValueError, match=f"{re.escape(models['backbone'])} has role='backbone', "
+                                         "but --reverse-model needs role 'reverse'"):
+        pipeline.run_augment(replace(cfg, strategy="reverse_gen"), raw, str(tmp_path / "aug"),
+                             reverse_dir=models["backbone"])
+
+
+def test_classifier_guidance_refuses_a_reverse_model(stages, tmp_path):
+    cfg, raw, models = stages
+    with pytest.raises(ValueError, match=f"{re.escape(models['reverse'])} has role='reverse', "
+                                         "but --classifier needs role 'backbone' or 'classifier'"):
+        pipeline.run_augment(replace(cfg, strategy="diffusion_cg"), raw, str(tmp_path / "aug"),
+                             diffusion_dir=models["diffusion_cg"],
+                             classifier_dir=models["reverse"])
+
+
+def test_evaluate_refuses_a_reverse_model(stages, tmp_path):
+    cfg, raw, models = stages
+    with pytest.raises(ValueError, match=f"{re.escape(models['reverse'])} has role='reverse', "
+                                         "but evaluate needs role 'backbone' or 'classifier'"):
+        pipeline.run_evaluate(cfg, models["reverse"], raw, raw, str(tmp_path / "report"))
+
+
+def test_evaluate_refuses_a_model_with_a_smaller_catalogue(stages, tmp_path):
+    cfg, raw, models = stages
+    small = replace(cfg, synth_items=8)
+    small_raw = str(tmp_path / "small")
+    pipeline.run_preprocess(small, pipeline.run_synth(small, small_raw), small_raw)
+    pipeline.run_train_srs(small, small_raw, str(tmp_path / "small-model"))
+    with pytest.raises(ValueError, match=f"{re.escape(str(tmp_path / 'small-model'))} has num_items=8, "
+                                         f"but the raw data in {re.escape(raw)} has num_items=12"):
+        pipeline.run_evaluate(cfg, str(tmp_path / "small-model"), small_raw, raw,
+                              str(tmp_path / "report"))

@@ -91,5 +91,5 @@ def test_float32_sampling_stays_float32():
         c = np.zeros((2, 16), dtype=np.float32)
         with nd.no_grad():
             assert model.predict_noise(x_t, 3, c).dtype == F32
-        guidance = diffusion.GuidanceConfig("classifier_free", 1.0)
+        guidance = diffusion.GuidanceConfig("diffusion_cf", 1.0)
         assert diffusion.sample(model, [[1, 2], [3]], 3, guidance, sched, seed=1).dtype == F32

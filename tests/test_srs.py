@@ -259,12 +259,6 @@ def test_trained_model_beats_popularity_baseline(rng):
 # reverse generator
 
 
-def test_reverse_of_reversed_dataset_is_original():
-    from seqaug.dataset import reverse_interactions
-    ds = alternating_dataset(n_users=4, length=5)
-    assert reverse_interactions(reverse_interactions(ds)).users == ds.users
-
-
 def test_reverse_model_learns_markov_mode(rng):
     # deterministic backward structure: i -> i-1 (cyclic); the reverse model
     # must recover the reversed-chain mode transition for most contexts

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from seqaug import numerics as nd
+from seqaug.diffusion import condition_batch
 from seqaug.numerics import Tensor, seed_stream
-from seqaug.sunet import SUNet, SUNetConfig, condition_vector, sinusoidal_step_embedding
+from seqaug.sunet import SUNet, SUNetConfig, sinusoidal_step_embedding
 
 
 @pytest.fixture
@@ -54,29 +57,31 @@ def test_step_embedding_odd_dim_rejected():
 # condition vector
 
 
-def test_condition_vector_is_mean():
-    table = Tensor(np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]))
-    c = condition_vector([1, 2], table)
-    np.testing.assert_allclose(c.data, [2.0, 2.0])
+def with_table(table):
+    return SimpleNamespace(item_emb=Tensor(table))
 
 
-def test_condition_vector_single_item_identity():
-    table = Tensor(np.arange(8.0).reshape(4, 2))
-    c = condition_vector([3], table)
-    np.testing.assert_array_equal(c.data, table.data[3])
+def test_condition_batch_is_mean():
+    c = condition_batch(with_table(np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])), [[1, 2]])
+    np.testing.assert_allclose(c.data, [[2.0, 2.0]])
 
 
-def test_condition_vector_permutation_invariant(rng):
-    table = Tensor(rng.standard_normal((9, 4)))
+def test_condition_batch_single_item_identity():
+    table = np.arange(8.0).reshape(4, 2)
+    c = condition_batch(with_table(table), [[3]])
+    np.testing.assert_array_equal(c.data, table[3:4])
+
+
+def test_condition_batch_permutation_invariant(rng):
+    model = with_table(rng.standard_normal((9, 4)))
     items = [2, 5, 5, 7, 1]
-    c1 = condition_vector(items, table)
-    c2 = condition_vector(list(reversed(items)), table)
-    np.testing.assert_allclose(c1.data, c2.data, atol=1e-15)
+    c = condition_batch(model, [items, list(reversed(items))])
+    np.testing.assert_allclose(c.data[0], c.data[1], atol=1e-15)
 
 
-def test_condition_vector_rejects_empty():
+def test_condition_batch_rejects_empty():
     with pytest.raises(ValueError, match="padding"):
-        condition_vector([], Tensor(np.zeros((3, 2))))
+        condition_batch(with_table(np.zeros((3, 2))), [[]])
 
 
 # ---------------------------------------------------------------------------
