@@ -22,7 +22,7 @@ from . import numerics as nd
 from .dataset import (InteractionDataset, build_diffusion_training_set, group_of,
                       save_sequences, save_vocab)
 from .numerics import seed_stream
-from .sunet import SUNet, SUNetConfig
+from .sunet import SUNet
 
 
 @dataclass
@@ -42,10 +42,7 @@ def train_augmentor(ds, config, log=None):
     sequence longer than M. Returns (model, per-epoch mean loss)."""
     pairs = build_diffusion_training_set(ds, config.M, exclude_test=config.exclude_test)
     sched = config.schedule()
-    net_cfg = SUNetConfig(channels=config.M, embed_dim=config.embed_dim, levels=config.levels,
-                          channel_mult=config.channel_mult, base_width=config.base_width,
-                          res_blocks=config.res_blocks)
-    model = SUNet(net_cfg, ds.num_items, seed_stream(config.seed, "sunet-init"))
+    model = SUNet(config.sunet_config(), ds.num_items, seed_stream(config.seed, "sunet-init"))
     opt = nd.Adam(list(model.parameters().values()), lr=config.diff_lr)
     shuffle_rng = seed_stream(config.seed, "diff-shuffle")
     draw_rng = seed_stream(config.seed, "diff-draws")

@@ -6,7 +6,6 @@ each contains a manifest echoing the effective configuration.
 """
 
 import argparse
-import os
 import sys
 
 from . import pipeline

@@ -9,7 +9,8 @@ artifacts alone.
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .schedule import make_schedule
+from .schedule import FAMILIES, make_schedule
+from .sunet import SUNetConfig
 
 STRATEGIES = ("diffusion_cg", "diffusion_cf", "random", "random_seq", "reverse_gen", "none")
 
@@ -74,8 +75,8 @@ class RunConfig:
             problems.append(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.gamma < 0:
             problems.append(f"gamma must be >= 0, got {self.gamma}")
-        if self.schedule_family not in ("linear", "sqrt", "cosine", "sigmoid"):
-            problems.append(f"unknown schedule_family {self.schedule_family!r}")
+        if self.schedule_family not in FAMILIES:
+            problems.append(f"unknown schedule_family {self.schedule_family!r}; expected one of {FAMILIES}")
         if self.T < 1:
             problems.append(f"T must be >= 1, got {self.T}")
         if not (0.0 < self.beta_start <= self.beta_end < 1.0):
@@ -97,6 +98,11 @@ class RunConfig:
                      "sample_batch", "eval_k"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.embed_dim >= 1 and self.levels >= 1:  # below 1, the loop above reports them
+            try:
+                self.sunet_config()
+            except ValueError as exc:
+                problems.append(str(exc))
         if problems:
             raise ConfigError(problems)
         return self
@@ -108,6 +114,12 @@ class RunConfig:
     def channel_mult(self):
         """SU-Net width multiplier per level: the width doubles at each level."""
         return tuple(2**i for i in range(self.levels))
+
+    def sunet_config(self):
+        """The SU-Net shape this run trains; its own checks are the shape rule."""
+        return SUNetConfig(channels=self.M, embed_dim=self.embed_dim, levels=self.levels,
+                           channel_mult=self.channel_mult, base_width=self.base_width,
+                           res_blocks=self.res_blocks)
 
     def schedule(self):
         return make_schedule(self.schedule_family, self.T, self.beta_start, self.beta_end)

@@ -9,7 +9,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,15 +37,7 @@ class EvalReport:
     k: int = 10
 
     def to_dict(self):
-        return {
-            "overall": self.overall,
-            "per_group": self.per_group,
-            "n_users": self.n_users,
-            "seeds": self.seeds,
-            "negatives": self.negatives,
-            "truncated_negative_users": self.truncated_negative_users,
-            "k": self.k,
-        }
+        return asdict(self)
 
     def save_json(self, path):
         with open(path, "w", encoding="utf-8") as f:
@@ -54,10 +46,7 @@ class EvalReport:
     @staticmethod
     def from_json(path):
         with open(path, "r", encoding="utf-8") as f:
-            d = json.load(f)
-        return EvalReport(overall=d["overall"], per_group=d["per_group"], n_users=d["n_users"],
-                          seeds=d["seeds"], negatives=d["negatives"],
-                          truncated_negative_users=d["truncated_negative_users"], k=d["k"])
+            return EvalReport(**json.load(f))
 
 
 def sample_eval_negatives(num_items, forbidden, count, rng):

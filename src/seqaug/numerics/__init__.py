@@ -13,27 +13,20 @@ from .tensor import (
     backward,
     concat,
     default_dtype,
-    div,
     dropout,
     embedding,
-    exp,
     layer_norm,
-    log,
     matmul,
     mean,
     mul,
     no_grad,
-    power,
     precision,
     relu,
     reshape,
     scaled_dot_attention,
-    set_finite_checks,
-    sigmoid,
     silu,
     softmax,
     softplus,
-    sqrt,
     sub,
     sum_,
     swapaxes,

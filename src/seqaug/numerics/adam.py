@@ -33,7 +33,3 @@ class Adam:
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
             p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype, copy=False)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None

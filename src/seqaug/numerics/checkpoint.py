@@ -39,17 +39,28 @@ def save_checkpoint(path, arrays, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (arrays: dict name -> ndarray, meta: dict)."""
+    """Read a checkpoint; returns (arrays: dict name -> ndarray, meta: dict).
+
+    A file cut short in its header, its manifest or an array's bytes raises
+    ``ValueError`` naming the path and the part that is missing."""
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        (mlen,) = np.frombuffer(f.read(8), dtype="<u8")
-        manifest = json.loads(f.read(int(mlen)).decode("utf-8"))
-        blob = f.read()
+        data = f.read()
+    if not MAGIC.startswith(data[:len(MAGIC)]):
+        raise ValueError(f"{path}: not a checkpoint file (bad magic {data[:len(MAGIC)]!r})")
+    head = len(MAGIC) + 8
+    if len(data) < head:
+        raise ValueError(f"{path}: truncated header: {len(data)} of {head} bytes")
+    mlen = int(np.frombuffer(data[len(MAGIC):head], dtype="<u8")[0])
+    if len(data) < head + mlen:
+        raise ValueError(f"{path}: truncated manifest: {len(data) - head} of {mlen} bytes")
+    manifest = json.loads(data[head:head + mlen].decode("utf-8"))
+    blob = memoryview(data)[head + mlen:]
     arrays = {}
     for e in manifest["arrays"]:
-        raw = blob[e["offset"]:e["offset"] + e["nbytes"]]
-        arr = np.frombuffer(raw, dtype=np.dtype(e["dtype"])).reshape(e["shape"])
+        start, stop = e["offset"], e["offset"] + e["nbytes"]
+        if len(blob) < stop:
+            raise ValueError(f"{path}: array {e['name']!r} truncated: "
+                             f"{max(len(blob) - start, 0)} of {e['nbytes']} bytes")
+        arr = np.frombuffer(blob[start:stop], dtype=np.dtype(e["dtype"])).reshape(e["shape"])
         arrays[e["name"]] = arr.copy()
     return arrays, manifest["meta"]

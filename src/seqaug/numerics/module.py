@@ -80,14 +80,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, axis=-1, eps=1e-5):
+    def __init__(self, dim):
         self.gain = param(np.ones(dim))
         self.bias = param(np.zeros(dim))
-        self.axis = axis
-        self.eps = eps
 
     def __call__(self, x):
-        return T.layer_norm(x, self.gain, self.bias, axis=self.axis, eps=self.eps)
+        return T.layer_norm(x, self.gain, self.bias)
 
 
 class Conv2d(Module):

@@ -15,13 +15,11 @@ every later node float64.
 """
 
 import contextlib
-import math
 
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
-_FINITE_CHECKS = False
 
 
 class ShapeError(ValueError):
@@ -63,20 +61,12 @@ def no_grad():
         _GRAD_ENABLED = old
 
 
-def set_finite_checks(enabled):
-    """Debug assertion: verify every op output is finite."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
-
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode autodiff."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, op="leaf"):
-        if isinstance(data, Tensor):
-            data = data.data
         if isinstance(data, (int, float)):
             arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
         else:
@@ -89,8 +79,6 @@ class Tensor:
         self._parents = parents
         self._backward = backward
         self.op = op
-        if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
-            raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
     @property
     def shape(self):
@@ -101,80 +89,20 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __getitem__(self, idx):
-        return take(self, idx)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data, parents, backward, op):
-    if not _GRAD_ENABLED:
-        return Tensor(data, op=op)
-    req = any(p.requires_grad for p in parents)
-    if not req:
-        return Tensor(data, op=op)
-    return Tensor(data, requires_grad=True, parents=parents, backward=backward, op=op)
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, parents=parents, backward=backward, op=op)
+    return Tensor(data, op=op)
 
 
 def _accum(t, g):
@@ -270,71 +198,6 @@ def mul(a, b):
     return _make(out_data, (a, b), bwd, "mul")
 
 
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, (a, b), bwd, "div")
-
-
-def power(a, p):
-    a = as_tensor(a)
-    p = float(p)
-    out_data = a.data**p
-
-    def bwd(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
-
-    return _make(out_data, (a,), bwd, "pow")
-
-
-def exp(a):
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * out_data)
-
-    return _make(out_data, (a,), bwd, "exp")
-
-
-def log(a):
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def bwd(g):
-        _accum(a, g / a.data)
-
-    return _make(out_data, (a,), bwd, "log")
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def bwd(g):
-        _accum(a, g * 0.5 / out_data)
-
-    return _make(out_data, (a,), bwd, "sqrt")
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    # stable on both tails
-    out_data = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                        np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-    out_data = out_data.astype(a.data.dtype, copy=False)
-
-    def bwd(g):
-        _accum(a, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), bwd, "sigmoid")
-
-
 def silu(a):
     a = as_tensor(a)
     s = 1.0 / (1.0 + np.exp(-a.data))
@@ -371,37 +234,27 @@ def softplus(a):
 # reductions and shape ops
 
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a, axis=None):
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = a.data.sum(axis=axis)
+    # the summed axes come back as size-1 axes, so g broadcasts to a's shape
+    summed = tuple(range(a.ndim)) if axis is None else axis
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=False))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape).astype(a.data.dtype, copy=False))
+        _accum(a, np.broadcast_to(np.expand_dims(g, summed), a.data.shape).astype(a.data.dtype, copy=False))
 
     return _make(out_data, (a,), bwd, "sum")
 
 
-def mean(a, axis=None, keepdims=False):
+def mean(a):
+    """Mean over every element."""
     a = as_tensor(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
+    out_data = a.data.mean()
     # a Python int, so g / count stays in g's dtype
-    count = a.data.size if axis is None else math.prod(
-        a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,)))
+    count = a.data.size
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / count, a.data.shape).astype(a.data.dtype, copy=False))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg / count, a.data.shape).astype(a.data.dtype, copy=False))
+        _accum(a, np.broadcast_to(g / count, a.data.shape).astype(a.data.dtype, copy=False))
 
     return _make(out_data, (a,), bwd, "mean")
 
@@ -493,21 +346,19 @@ def softmax(a, axis=-1):
     return _make(out_data, (a,), bwd, "softmax")
 
 
-def layer_norm(a, gain, bias, axis=-1, eps=1e-5):
-    """Normalize over one axis with learned gain/bias (fused primitive)."""
+def layer_norm(a, gain, bias):
+    """Normalize over the last axis (eps 1e-5) with learned gain/bias (fused primitive)."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    ax = axis % a.ndim
-    n = a.data.shape[ax]
+    n = a.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({n},), got {gain.data.shape} and {bias.data.shape}")
-    bshape = tuple(n if i == ax else 1 for i in range(a.ndim))
-    mu = a.data.mean(axis=ax, keepdims=True)
+    mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
-    var = np.mean(centered * centered, axis=ax, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv
-    out_data = xhat * gain.data.reshape(bshape) + bias.data.reshape(bshape)
-    reduce_axes = tuple(i for i in range(a.ndim) if i != ax)
+    out_data = xhat * gain.data + bias.data
+    reduce_axes = tuple(range(a.ndim - 1))
 
     def bwd(g):
         if gain.requires_grad:
@@ -515,28 +366,20 @@ def layer_norm(a, gain, bias, axis=-1, eps=1e-5):
         if bias.requires_grad:
             _accum(bias, g.sum(axis=reduce_axes))
         if a.requires_grad:
-            gy = g * gain.data.reshape(bshape)
-            term = gy - gy.mean(axis=ax, keepdims=True) \
-                - xhat * (gy * xhat).mean(axis=ax, keepdims=True)
+            gy = g * gain.data
+            term = gy - gy.mean(axis=-1, keepdims=True) \
+                - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
             _accum(a, inv * term)
 
     return _make(out_data, (a, gain, bias), bwd, "layer_norm")
 
 
 def embedding(table, ids):
-    """Row lookup ``table[ids]``; gradient is a scatter-add over rows."""
-    table = as_tensor(table)
+    """Row lookup ``table[ids]`` by integer ids; ``take`` scatter-adds the gradient."""
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise ShapeError(f"embedding ids must be integers, got dtype {ids.dtype}")
-    out_data = table.data[ids]
-
-    def bwd(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        _accum(table, buf)
-
-    return _make(out_data, (table,), bwd, "embedding")
+    return take(table, ids)
 
 
 def dropout(a, rate, train, rng, draw_len=None):

@@ -6,8 +6,6 @@ Each item v moves to one of its three cyclic successors v+1, v+2, v+3
 plausibility of generated items is checkable against ground truth.
 """
 
-import numpy as np
-
 from .numerics import seed_stream
 
 SUCCESSOR_PROBS = (0.6, 0.3, 0.1)

@@ -16,7 +16,7 @@ import pytest
 
 from seqaug import diffusion as dm
 from seqaug import numerics as nd
-from seqaug import pipeline, srs, synth
+from seqaug import pipeline, srs
 from seqaug.config import load_config
 from seqaug.dataset import (InteractionDataset, build_diffusion_training_set,
                             leave_one_out_split)

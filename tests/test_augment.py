@@ -6,7 +6,7 @@ import pytest
 from seqaug import augment as am
 from seqaug import numerics as nd
 from seqaug import synth
-from seqaug.augment import AugmentedDataset, augment_dataset, emit, train_augmentor
+from seqaug.augment import augment_dataset, emit, train_augmentor
 from seqaug.config import STRATEGIES, RunConfig
 from seqaug.dataset import (EmptyDiffusionSetError, InteractionDataset,
                             build_diffusion_training_set, leave_one_out_split,

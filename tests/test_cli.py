@@ -124,6 +124,18 @@ def test_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_non_square_embed_dim_is_a_config_error(tmp_path, capsys):
+    code = run_cli("synth", "--set", "embed_dim=50", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "embed_dim must be a perfect square" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_rejects_levels_the_embedding_side_cannot_halve():
+    with pytest.raises(ConfigError, match="not divisible"):
+        load_config(None, overrides={"embed_dim": "16", "levels": "4"})
+
+
 def test_data_error_exit_code(tmp_path):
     code = run_cli("preprocess", "--input", str(tmp_path / "missing.tsv"),
                    "--out", str(tmp_path / "y"))
