@@ -9,11 +9,9 @@ own sequence (``random_seq``), the reverse-trained autoregressive generator
 (``reverse_gen``), or ``none``. Every function here reads the RunConfig.
 """
 
-import hashlib
-import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .sunet import SUNet
 class AugmentedDataset:
     entries: dict                 # user -> (aug_items, raw_items)
     num_items: int
-    manifest: dict = field(default_factory=dict)
+    zero_rows: int                # zero-norm sampled rows, rounded by dot product
 
     def to_interactions(self, item_vocab=None):
         users = {u: list(aug) + list(raw) for u, (aug, raw) in self.entries.items()}
@@ -119,35 +117,17 @@ def augment_dataset(ds, config, model=None, reverse_model=None, classifier=None)
             zero_rows += zeros
             for u, row in zip(chunk, ids):
                 entries[u] = ([int(v) for v in row], list(ds.users[u]))
-    manifest = {**_manifest(config), "zero_rows": zero_rows}
-    return AugmentedDataset(entries=entries, num_items=ds.num_items, manifest=manifest)
-
-
-# the settings an augmented dataset and a diffusion checkpoint record
-_MANIFEST_FIELDS = ("strategy", "M", "gamma", "schedule_family", "T", "beta_start", "beta_end",
-                    "seed", "exclude_test", "short_only")
-
-
-def config_hash(config):
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _manifest(config):
-    return {**{name: getattr(config, name) for name in _MANIFEST_FIELDS},
-            "config_hash": config_hash(config)}
+    return AugmentedDataset(entries=entries, num_items=ds.num_items, zero_rows=zero_rows)
 
 
 def emit(aug, out_dir, item_vocab=None):
-    """Write the canonical sequence file, the provenance manifest, and the
-    vocabulary sidecar when a raw-id mapping is known."""
+    """Write the canonical sequence file and the vocabulary sidecar when a
+    raw-id mapping is known; the stage's manifest is ``run_augment``'s."""
     os.makedirs(out_dir, exist_ok=True)
     ds = aug.to_interactions(item_vocab=item_vocab)
     seq_path = os.path.join(out_dir, "sequences.tsv")
     try:
         save_sequences(ds, seq_path)
-        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
-            json.dump(aug.manifest, f, indent=2, sort_keys=True)
         if item_vocab:
             save_vocab(ds, os.path.join(out_dir, "vocab.tsv"))
     except OSError as exc:

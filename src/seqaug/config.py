@@ -7,9 +7,11 @@ artifacts alone.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .schedule import FAMILIES, make_schedule
+from .srs import SrsConfig
 from .sunet import SUNetConfig
 
 STRATEGIES = ("diffusion_cg", "diffusion_cf", "random", "random_seq", "reverse_gen", "none")
@@ -73,8 +75,8 @@ class RunConfig:
             problems.append(f"M must be >= 1, got {self.M}")
         if self.strategy not in STRATEGIES:
             problems.append(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.gamma < 0:
-            problems.append(f"gamma must be >= 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            problems.append(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.schedule_family not in FAMILIES:
             problems.append(f"unknown schedule_family {self.schedule_family!r}; expected one of {FAMILIES}")
         if self.T < 1:
@@ -88,6 +90,9 @@ class RunConfig:
             problems.append(f"p_uncond must be in [0, 1), got {self.p_uncond}")
         if not (0.0 <= self.srs_dropout < 1.0):
             problems.append(f"srs_dropout must be in [0, 1), got {self.srs_dropout}")
+        for name in ("diff_lr", "srs_lr"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                problems.append(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.eval_negatives < 1:
             problems.append(f"eval_negatives must be >= 1, got {self.eval_negatives}")
         if self.precision not in ("float32", "float64"):
@@ -120,6 +125,11 @@ class RunConfig:
         return SUNetConfig(channels=self.M, embed_dim=self.embed_dim, levels=self.levels,
                            channel_mult=self.channel_mult, base_width=self.base_width,
                            res_blocks=self.res_blocks)
+
+    def srs_config(self, num_items):
+        """The recommender shape this run trains over ``num_items`` items."""
+        return SrsConfig(num_items=num_items, embed_dim=self.srs_embed_dim, blocks=self.srs_blocks,
+                         max_len=self.srs_max_len, dropout=self.srs_dropout)
 
     def schedule(self):
         return make_schedule(self.schedule_family, self.T, self.beta_start, self.beta_end)
@@ -168,4 +178,4 @@ def save_manifest(path, config, extra=None):
     if extra:
         payload.update(extra)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)

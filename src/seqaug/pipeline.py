@@ -1,6 +1,15 @@
 """Stage functions behind the CLI: each one reads the previous stage's
-artifacts from disk, does its work, and writes its own directory with a
-manifest sufficient to re-run it."""
+artifacts from disk, does its work, and writes its own directory. Every
+stage directory holds one ``manifest.json`` from ``config.save_manifest``
+(the stage name, the full RunConfig and the stage's own facts) beside:
+
+  synth            interactions.tsv
+  preprocess       sequences.tsv, vocab.tsv
+  train-diffusion  model.ckpt (meta: net_config, num_items, config), losses.json
+  train-srs        model.ckpt (meta: srs_config, role), history.json
+  augment          sequences.tsv, vocab.tsv when the input has one
+  evaluate         report.json
+"""
 
 import json
 import os
@@ -14,7 +23,7 @@ from .dataset import (leave_one_out_split, load_interactions, load_sequences, lo
                       save_sequences, save_vocab)
 from .evaluation import average_reports, compare, evaluate
 from .numerics import seed_stream
-from .srs import SrsConfig, SrsModel, SrsTrainConfig
+from .srs import SrsConfig, SrsModel
 from .sunet import SUNet, SUNetConfig
 
 
@@ -70,7 +79,7 @@ def run_train_diffusion(config, data_dir, out_dir, log=None):
         ds = load_dataset_dir(data_dir)
         model, losses = aug_mod.train_augmentor(ds, config, log=log)
         meta = {"net_config": asdict(model.config), "num_items": ds.num_items,
-                "augment": aug_mod._manifest(config)}
+                "config": config.to_dict()}
         model.save(os.path.join(out_dir, "model.ckpt"), meta=meta)
         with open(os.path.join(out_dir, "losses.json"), "w", encoding="utf-8") as f:
             json.dump(losses, f)
@@ -80,23 +89,28 @@ def run_train_diffusion(config, data_dir, out_dir, log=None):
         return model, losses
 
 
-def load_diffusion_model(model_dir):
+def _load_checkpoint(model_dir, stage):
+    """Arrays and meta of the ``stage`` checkpoint in ``model_dir``; refuses
+    one written by the other training stage or by an older version."""
     from .numerics.checkpoint import load_checkpoint
     arrays, meta = load_checkpoint(os.path.join(model_dir, "model.ckpt"))
+    holds = ("train-diffusion" if "net_config" in meta else
+             "train-srs" if "srs_config" in meta else "unrecognised")
+    if holds != stage:
+        raise ValueError(f"{model_dir} holds a {holds} checkpoint, but a {stage} one is needed")
+    if stage == "train-diffusion" and "config" not in meta:
+        raise ValueError(f"{model_dir} holds a train-diffusion checkpoint from an older version "
+                         "with no 'config' in its meta; retrain it")
+    return arrays, meta
+
+
+def load_diffusion_model(model_dir):
+    arrays, meta = _load_checkpoint(model_dir, "train-diffusion")
     net = meta["net_config"]
     cfg = SUNetConfig(**{**net, "channel_mult": tuple(net["channel_mult"])})
     model = SUNet(cfg, meta["num_items"], seed_stream(0, "sunet-load"))
     model.load_state_arrays(arrays)
     return model, meta
-
-
-def _srs_configs(config, num_items):
-    model_cfg = SrsConfig(num_items=num_items, embed_dim=config.srs_embed_dim,
-                          blocks=config.srs_blocks, max_len=config.srs_max_len,
-                          dropout=config.srs_dropout)
-    train_cfg = SrsTrainConfig(epochs=config.srs_epochs, batch_size=config.srs_batch_size,
-                               lr=config.srs_lr, seed=config.seed)
-    return model_cfg, train_cfg
 
 
 def run_train_srs(config, data_dir, out_dir, role="backbone"):
@@ -109,13 +123,12 @@ def run_train_srs(config, data_dir, out_dir, role="backbone"):
         _ensure_dir(out_dir)
         ds = load_dataset_dir(data_dir)
         split = leave_one_out_split(ds)
-        model_cfg, train_cfg = _srs_configs(config, ds.num_items)
-        model = SrsModel(model_cfg, seed_stream(config.seed, "srs-init", role))
+        model = SrsModel(config.srs_config(ds.num_items), seed_stream(config.seed, "srs-init", role))
         if role == "reverse":
-            history = srs.train_reverse(model, split, train_cfg)
+            history = srs.train_reverse(model, split, config)
         else:
-            history = srs.train(model, split, train_cfg)
-        meta = {"srs_config": asdict(model_cfg), "role": role}
+            history = srs.train(model, split, config)
+        meta = {"srs_config": asdict(model.config), "role": role}
         model.save(os.path.join(out_dir, "model.ckpt"), meta=meta)
         with open(os.path.join(out_dir, "history.json"), "w", encoding="utf-8") as f:
             json.dump(history, f)
@@ -125,8 +138,7 @@ def run_train_srs(config, data_dir, out_dir, role="backbone"):
 
 
 def load_srs_model(model_dir):
-    from .numerics.checkpoint import load_checkpoint
-    arrays, meta = load_checkpoint(os.path.join(model_dir, "model.ckpt"))
+    arrays, meta = _load_checkpoint(model_dir, "train-srs")
     cfg = SrsConfig(**meta["srs_config"])
     model = SrsModel(cfg, seed_stream(0, "srs-load"))
     model.load_state_arrays(arrays)
@@ -153,8 +165,8 @@ def _check_checkpoint(trained, config, model_dir):
     """Refuse a diffusion checkpoint trained with other settings than the
     ones ``config`` samples with."""
     for name in _TRAINED_WITH:
-        if trained.get(name) != getattr(config, name):
-            raise ValueError(f"diffusion model in {model_dir} was trained with {name}={trained.get(name)!r}, "
+        if trained[name] != getattr(config, name):
+            raise ValueError(f"diffusion model in {model_dir} was trained with {name}={trained[name]!r}, "
                              f"but the config has {name}={getattr(config, name)!r}")
     if config.strategy == "diffusion_cf" and trained["strategy"] != "diffusion_cf":
         raise ValueError(f"diffusion model in {model_dir} was trained with strategy={trained['strategy']!r} "
@@ -171,7 +183,7 @@ def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=No
             if diffusion_dir is None:
                 raise ValueError(f"strategy {config.strategy} needs --model (train-diffusion output)")
             model, meta = load_diffusion_model(diffusion_dir)
-            _check_checkpoint(meta["augment"], config, diffusion_dir)
+            _check_checkpoint(meta["config"], config, diffusion_dir)
         if config.strategy == "diffusion_cg":
             if classifier_dir is None:
                 raise ValueError("strategy diffusion_cg needs --classifier (train-srs output)")
@@ -183,8 +195,9 @@ def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=No
         augmented = aug_mod.augment_dataset(ds, config, model=model, reverse_model=reverse_model,
                                             classifier=classifier)
         aug_mod.emit(augmented, out_dir, item_vocab=ds.item_vocab or None)
-        save_manifest(os.path.join(out_dir, "run_manifest.json"), config,
-                      extra={"stage": "augment", "data": os.path.abspath(data_dir)})
+        save_manifest(os.path.join(out_dir, "manifest.json"), config,
+                      extra={"stage": "augment", "data": os.path.abspath(data_dir),
+                             "zero_rows": augmented.zero_rows})
         return augmented
 
 

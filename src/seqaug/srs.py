@@ -30,15 +30,6 @@ class SrsConfig:
     dropout: float = 0.6
 
 
-@dataclass
-class SrsTrainConfig:
-    epochs: int = 50
-    batch_size: int = 512
-    lr: float = 1e-3
-    seed: int = 1
-    keep_best: bool = True
-
-
 class AttnFFNBlock(Module):
     def __init__(self, d, rng):
         self.norm1 = LayerNorm(d)
@@ -215,12 +206,14 @@ def _valid_hr10(model, split):
 
 
 def _fit(model, sequences, config, full_histories, valid_split=None):
-    """Shared training loop. ``full_histories`` maps user -> set of item ids
-    negatives must avoid; ``valid_split`` enables per-epoch HR@10 tracking."""
+    """Shared training loop over the RunConfig's ``srs_*`` settings and seed.
+    ``full_histories`` maps user -> set of item ids negatives must avoid;
+    ``valid_split`` enables per-epoch HR@10 tracking and restores the
+    best-validation weights at the end."""
     examples = build_examples(sequences)
     if not examples:
         raise ValueError("no training examples; every sequence has length < 2")
-    opt = nd.Adam(list(model.parameters().values()), lr=config.lr)
+    opt = nd.Adam(list(model.parameters().values()), lr=config.srs_lr)
     shuffle_rng = seed_stream(config.seed, "srs-shuffle")
     neg_rng = seed_stream(config.seed, "srs-negatives")
     drop_rng = seed_stream(config.seed, "srs-dropout")
@@ -229,12 +222,12 @@ def _fit(model, sequences, config, full_histories, valid_split=None):
     history = {"loss": [], "valid_hr10": []}
     best = (-1.0, None)
     order = np.arange(len(examples))
-    for epoch in range(config.epochs):
+    for epoch in range(config.srs_epochs):
         shuffle_rng.shuffle(order)
         epoch_loss, n_batches = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
+        for start in range(0, len(order), config.srs_batch_size):
             rows = []
-            for idx in order[start:start + config.batch_size]:
+            for idx in order[start:start + config.srs_batch_size]:
                 user, prefix, target = examples[idx]
                 negs = sample_negatives(num_items, full_histories[user], 1, neg_rng)
                 rows.append((prefix, target, negs))
@@ -254,9 +247,9 @@ def _fit(model, sequences, config, full_histories, valid_split=None):
         if valid_split is not None:
             hr = _valid_hr10(model, valid_split)
             history["valid_hr10"].append(hr)
-            if config.keep_best and hr > best[0]:
+            if hr > best[0]:
                 best = (hr, model.state_arrays())
-    if valid_split is not None and config.keep_best and best[1] is not None:
+    if best[1] is not None:
         model.load_state_arrays(best[1])
     return history
 

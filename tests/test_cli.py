@@ -50,6 +50,11 @@ def test_config_validation_lists_every_offending_field():
         load_config(None, overrides={"M": "0", "gamma": "-1", "T": "0"})
     message = str(exc.value)
     assert "M" in message and "gamma" in message and "T" in message
+    with pytest.raises(ConfigError) as exc:
+        load_config(None, overrides={"gamma": "nan", "diff_lr": "0", "srs_lr": "inf"})
+    assert exc.value.problems == ["gamma must be finite and >= 0, got nan",
+                                  "diff_lr must be finite and > 0, got 0.0",
+                                  "srs_lr must be finite and > 0, got inf"]
 
 
 def test_config_bool_coercion():
@@ -120,8 +125,9 @@ def test_preprocess_subcommand(tmp_path):
 
 
 def test_config_error_exit_code(tmp_path):
-    code = run_cli("synth", "--set", "T=0", "--out", str(tmp_path / "x"))
-    assert code == 2
+    for setting in ("T=0", "gamma=nan", "gamma=inf", "diff_lr=-1", "diff_lr=0", "srs_lr=nan"):
+        code = run_cli("synth", "--set", setting, "--out", str(tmp_path / "x"))
+        assert code == 2, setting
 
 
 def test_non_square_embed_dim_is_a_config_error(tmp_path, capsys):
@@ -163,7 +169,7 @@ def test_pipeline_random_strategy_roundtrip(tmp_path):
     for u in raw.users:
         assert len(augmented.users[u]) == len(raw.users[u]) + 3
     manifest = json.loads((aug / "manifest.json").read_text())
-    assert manifest["strategy"] == "random" and manifest["seed"] == 7
+    assert manifest["config"]["strategy"] == "random" and manifest["config"]["seed"] == 7
 
 
 def test_cli_module_entrypoint_runs(tmp_path):

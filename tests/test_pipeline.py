@@ -1,8 +1,9 @@
 """Stage-level contracts of ``pipeline``: each stage computes at its
-configured precision without changing the caller's, and augmentation and
-evaluation refuse a checkpoint trained with other settings or for another
-role."""
+configured precision without changing the caller's, augmentation and
+evaluation refuse a checkpoint trained with other settings, for another
+role or by another stage, and every stage directory holds one manifest."""
 
+import json
 import os
 import re
 from dataclasses import replace
@@ -12,7 +13,9 @@ import pytest
 
 from seqaug import numerics as nd
 from seqaug import pipeline
-from seqaug.config import load_config
+from seqaug.cli import main
+from seqaug.config import STRATEGIES, load_config
+from seqaug.numerics.checkpoint import load_checkpoint, save_checkpoint
 
 SIZES = {"synth_users": 30, "synth_items": 12, "M": 2, "T": 4, "beta_start": 0.02,
          "beta_end": 0.3, "embed_dim": 16, "base_width": 4, "levels": 2, "res_blocks": 1,
@@ -112,3 +115,59 @@ def test_evaluate_refuses_a_model_with_a_smaller_catalogue(stages, tmp_path):
                                          f"but the raw data in {re.escape(raw)} has num_items=12"):
         pipeline.run_evaluate(cfg, str(tmp_path / "small-model"), small_raw, raw,
                               str(tmp_path / "report"))
+
+
+@pytest.mark.parametrize("case", ["srs-as-model", "diffusion-as-classifier",
+                                  "diffusion-as-evaluated", "diffusion-without-config"])
+def test_cli_refuses_a_checkpoint_of_another_kind(stages, tmp_path, capsys, case):
+    _, raw, models = stages
+    old = tmp_path / "old"
+    old.mkdir()
+    arrays, meta = load_checkpoint(os.path.join(models["diffusion_cf"], "model.ckpt"))
+    meta["augment"] = meta.pop("config")  # the key an older version wrote
+    save_checkpoint(old / "model.ckpt", arrays, meta=meta)
+    srs_wanted = "a train-diffusion checkpoint, but a train-srs one is needed"
+    args, model_dir, holds = {
+        "srs-as-model": (["augment", "--model", models["backbone"]], models["backbone"],
+                         "a train-srs checkpoint, but a train-diffusion one is needed"),
+        "diffusion-as-classifier": (["augment", "--set", "strategy=diffusion_cg",
+                                     "--set", "srs_embed_dim=16", "--model", models["diffusion_cg"],
+                                     "--classifier", models["diffusion_cf"]],
+                                    models["diffusion_cf"], srs_wanted),
+        "diffusion-as-evaluated": (["evaluate", "--model", models["diffusion_cf"], "--raw-data", raw],
+                                   models["diffusion_cf"], srs_wanted),
+        "diffusion-without-config": (["augment", "--model", str(old)], str(old),
+                                     "a train-diffusion checkpoint from an older version with no "
+                                     "'config' in its meta; retrain it"),
+    }[case]
+    sizes = [arg for key, value in SIZES.items() for arg in ("--set", f"{key}={value}")]
+    code = main([args[0], *sizes, *args[1:], "--data", raw, "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (1, f"error: {model_dir} holds {holds}\n")
+
+
+# the files each stage writes beside its manifest.json
+STAGE_FILES = {"train-diffusion": {"model.ckpt", "losses.json"},
+               "train-srs": {"model.ckpt", "history.json"},
+               "augment": {"sequences.tsv", "vocab.tsv"},
+               "evaluate": {"report.json"}}
+
+
+def _refuse_non_finite(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_stage_directory_holds_one_manifest(stages, tmp_path, strategy):
+    cfg, raw, _ = stages
+    cfg = replace(cfg, strategy=strategy, srs_embed_dim=cfg.embed_dim).validate()
+    pipeline.run_pipeline_once(cfg, raw, str(tmp_path))
+    run = tmp_path / f"{strategy}-seed{cfg.seed}"
+    for stage_dir in run.iterdir():
+        manifest = json.loads((stage_dir / "manifest.json").read_text(),
+                              parse_constant=_refuse_non_finite)
+        assert manifest["config"] == cfg.to_dict()
+        assert set(os.listdir(stage_dir)) == STAGE_FILES[manifest["stage"]] | {"manifest.json"}
+    assert not list(tmp_path.rglob("run_manifest.json"))
+    if strategy.startswith("diffusion"):
+        _, meta = load_checkpoint(run / "diffusion-model" / "model.ckpt")
+        assert meta["config"] == cfg.to_dict()

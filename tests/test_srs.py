@@ -3,9 +3,10 @@ import pytest
 
 from seqaug import numerics as nd
 from seqaug import srs
+from seqaug.config import RunConfig
 from seqaug.dataset import InteractionDataset, leave_one_out_split
 from seqaug.numerics import Tensor, seed_stream
-from seqaug.srs import SrsConfig, SrsModel, SrsTrainConfig
+from seqaug.srs import SrsConfig, SrsModel
 
 
 def tiny_model(num_items=10, d=16, blocks=1, max_len=12, dropout=0.0, key="m"):
@@ -188,7 +189,7 @@ def test_training_loss_converges_on_alternating_dataset():
     ds = alternating_dataset()
     split = leave_one_out_split(ds)
     model = tiny_model(num_items=2, d=16, blocks=1, max_len=10)
-    cfg = SrsTrainConfig(epochs=200, batch_size=32, lr=3e-3, seed=7, keep_best=False)
+    cfg = RunConfig(srs_epochs=200, srs_batch_size=32, srs_lr=3e-3, seed=7)
     history = srs.train(model, split, cfg)
     assert history["loss"][-1] < 0.1
     assert min(history["loss"]) <= history["loss"][0]
@@ -200,15 +201,15 @@ def test_training_deterministic_given_seed():
     runs = []
     for _ in range(2):
         model = tiny_model(num_items=2, d=8, max_len=8, dropout=0.0)
-        cfg = SrsTrainConfig(epochs=5, batch_size=16, lr=1e-3, seed=11, keep_best=False)
+        cfg = RunConfig(srs_epochs=5, srs_batch_size=16, srs_lr=1e-3, seed=11)
         runs.append(srs.train(model, split, cfg)["loss"])
     np.testing.assert_array_equal(runs[0], runs[1])
 
 
 def test_training_stops_at_the_first_non_finite_loss(monkeypatch):
     split = leave_one_out_split(alternating_dataset(n_users=6, length=6))
-    cfg = SrsTrainConfig(epochs=3, batch_size=4, seed=2)
-    per_epoch = -(-len(srs.build_examples(split.train)) // cfg.batch_size)
+    cfg = RunConfig(srs_epochs=3, srs_batch_size=4, seed=2)
+    per_epoch = -(-len(srs.build_examples(split.train)) // cfg.srs_batch_size)
     real, calls = srs._batch_loss, []
 
     def poisoned(*args, **kwargs):
@@ -233,7 +234,7 @@ def test_trained_model_beats_popularity_baseline(rng):
     ds = InteractionDataset(users=users, num_items=12)
     split = leave_one_out_split(ds)
     model = tiny_model(num_items=12, d=16, blocks=1, max_len=16, key="chain")
-    cfg = SrsTrainConfig(epochs=40, batch_size=64, lr=3e-3, seed=2)
+    cfg = RunConfig(srs_epochs=40, srs_batch_size=64, srs_lr=3e-3, seed=2)
     srs.train(model, split, cfg)
 
     counts = np.zeros(12)
@@ -271,7 +272,7 @@ def test_reverse_model_learns_markov_mode(rng):
     ds = InteractionDataset(users=users, num_items=num_items)
     split = leave_one_out_split(ds)
     model = tiny_model(num_items=num_items, d=16, blocks=1, max_len=8, key="rev")
-    cfg = SrsTrainConfig(epochs=120, batch_size=64, lr=3e-3, seed=3, keep_best=False)
+    cfg = RunConfig(srs_epochs=120, srs_batch_size=64, srs_lr=3e-3, seed=3)
     srs.train_reverse(model, split, cfg)
     correct = 0
     for v in range(1, num_items + 1):
@@ -297,7 +298,7 @@ def test_generate_preorder_continues_alternation():
     ds = alternating_dataset(n_users=10, length=8)
     split = leave_one_out_split(ds)
     model = tiny_model(num_items=2, d=16, blocks=1, max_len=12, key="alt")
-    cfg = SrsTrainConfig(epochs=150, batch_size=32, lr=3e-3, seed=9, keep_best=False)
+    cfg = RunConfig(srs_epochs=150, srs_batch_size=32, srs_lr=3e-3, seed=9)
     srs.train_reverse(model, split, cfg)
     raw = [1, 2, 1, 2]  # next-backward from 1 is 2, etc.
     pre = srs.generate_preorder(model, raw, 4)
