@@ -1,13 +1,33 @@
 """2-d convolution and nearest-neighbour upsampling, channels-last (NHWC).
 
-Channels-last keeps the im2col copy cache-friendly (contiguous channel
-runs) and feeds a single GEMM per convolution.
+``conv2d`` is one gather and one GEMM each way, through a cached pair of
+index tables per geometry whose one-past-the-end index reads an appended
+zero row: on the SU-Net's 4x4 and 2x2 planes copies cost more than GEMMs.
 """
+
+import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, _accum, _make, as_tensor
+
+
+@functools.lru_cache(maxsize=32)
+def _tables(h, w, kh, kw, stride, padding):
+    """Read-only ``fwd[q, k]``, the input pixel output pixel q reads through tap k, and ``bwd[p, k]``,
+    the output pixel whose tap k reads input pixel p; one past the last pixel is the zero row."""
+    plane = np.pad(np.arange(h * w).reshape(h, w), padding, constant_values=h * w)
+    fwd = sliding_window_view(plane, (kh, kw))[::stride, ::stride].reshape(-1, kh * kw)
+    q, k = np.nonzero(fwd < h * w)
+    bwd = np.full((h * w, kh * kw), len(fwd))
+    bwd[fwd[q, k], k] = q
+    fwd.flags.writeable = bwd.flags.writeable = False
+    return fwd, bwd
+
+
+def _gather(a, table):
+    return np.concatenate((a, np.zeros_like(a[:, :1])), axis=1).take(table, axis=1).reshape(len(a) * len(table), -1)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0):
@@ -24,20 +44,9 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, kernel {w.data.shape}")
 
-    if padding:
-        xp = np.zeros((bs, h + 2 * padding, wd + 2 * padding, c), dtype=x.data.dtype)
-        xp[:, padding:padding + h, padding:padding + wd, :] = x.data
-    else:
-        xp = x.data
-    # windows over the flattened (W, C) axis keep kw*c contiguous per copy run
-    flat = xp.reshape(bs, xp.shape[1], xp.shape[2] * c)
-    win = sliding_window_view(flat, kw * c, axis=2)[:, :, ::c * stride]
-    col = np.empty((bs, oh, ow, kh, kw * c), dtype=x.data.dtype)
-    for i in range(kh):
-        col[:, :, :, i, :] = win[:, i:i + stride * oh:stride]
-    col = col.reshape(bs * oh * ow, kh * kw * c)
-    w2 = w.data.reshape(kh * kw * c, o)
-    out_data = (col @ w2).reshape(bs, oh, ow, o)
+    fwd, bwd_table = _tables(h, wd, kh, kw, stride, padding)
+    col = _gather(x.data.reshape(bs, h * wd, c), fwd)
+    out_data = (col @ w.data.reshape(kh * kw * c, o)).reshape(bs, oh, ow, o)
     if b is not None:
         b = as_tensor(b)
         if b.data.shape != (o,):
@@ -46,20 +55,13 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
-        g2 = g.reshape(bs * oh * ow, o)
         if w.requires_grad:
-            _accum(w, (col.T @ g2).reshape(w.data.shape))
+            _accum(w, (col.T @ g.reshape(-1, o)).reshape(w.data.shape))
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 1, 2)))
         if x.requires_grad:
-            dcol = (g2 @ w2.T).reshape(bs, oh, ow, kh, kw, c)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += dcol[:, :, :, i, j, :]
-            if padding:
-                dxp = dxp[:, padding:padding + h, padding:padding + wd, :]
-            _accum(x, dxp)
+            dcol = _gather(g.reshape(bs, oh * ow, o), bwd_table)
+            _accum(x, (dcol @ w.data.transpose(0, 1, 3, 2).reshape(kh * kw * o, c)).reshape(bs, h, wd, c))
 
     return _make(out_data, parents, bwd, "conv2d")
 

@@ -347,29 +347,27 @@ def softmax(a, axis=-1):
 
 
 def layer_norm(a, gain, bias):
-    """Normalize over the last axis (eps 1e-5) with learned gain/bias (fused primitive)."""
+    """Normalize over the last axis (eps 1e-5) with learned gain/bias (fused primitive).
+    Normalizes one copy of the input in place; ``einsum`` sums make no product temporaries."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     n = a.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({n},), got {gain.data.shape} and {bias.data.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = centered * inv
+    xhat = a.data - np.einsum("...i->...", a.data)[..., None] / n
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / n + 1e-5)
+    xhat *= inv
     out_data = xhat * gain.data + bias.data
-    reduce_axes = tuple(range(a.ndim - 1))
 
     def bwd(g):
         if gain.requires_grad:
-            _accum(gain, (g * xhat).sum(axis=reduce_axes))
+            _accum(gain, np.einsum("ri,ri->i", g.reshape(-1, n), xhat.reshape(-1, n)))
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=reduce_axes))
+            _accum(bias, np.einsum("ri->i", g.reshape(-1, n)))
         if a.requires_grad:
             gy = g * gain.data
-            term = gy - gy.mean(axis=-1, keepdims=True) \
-                - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
-            _accum(a, inv * term)
+            proj = np.einsum("...i,...i->...", gy, xhat)[..., None] / n
+            gy -= np.einsum("...i->...", gy)[..., None] / n + xhat * proj
+            _accum(a, gy * inv)
 
     return _make(out_data, (a, gain, bias), bwd, "layer_norm")
 

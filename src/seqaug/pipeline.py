@@ -160,9 +160,9 @@ def _load_recommender(model_dir, needed_by, reverse):
     return model
 
 
-# the settings sampling must share with training; gamma only steers sampling
-# and is free to differ
-_TRAINED_WITH = ("M", "schedule_family", "T", "beta_start", "beta_end")
+# the settings sampling must share with training, the SU-Net's shape included; gamma may differ
+_TRAINED_WITH = ("M", "schedule_family", "T", "beta_start", "beta_end",
+                 "embed_dim", "levels", "base_width", "res_blocks")
 
 
 def _check_checkpoint(trained, config, model_dir):

@@ -50,6 +50,66 @@ def test_conv2d_matches_direct_convolution_oracle(rng):
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
+def _conv_geometries():
+    for h, w in ((4, 4), (2, 2), (5, 3)):
+        for k in (1, 3):
+            for s in (1, 2):
+                for p in (0, 1):
+                    if h + 2 * p >= k and w + 2 * p >= k:
+                        yield h, w, k, s, p
+
+
+@pytest.mark.parametrize("h, w, k, s, p", list(_conv_geometries()))
+def test_conv2d_gradients_match_direct_loop_oracle(h, w, k, s, p, rng):
+    b, c, o = 2, 3, 4
+    x = Tensor(rng.standard_normal((b, h, w, c)), requires_grad=True)
+    kern = Tensor(rng.standard_normal((k, k, c, o)), requires_grad=True)
+    bias = Tensor(rng.standard_normal(o), requires_grad=True)
+    out = nd.conv2d(x, kern, bias, stride=s, padding=p)
+    g = rng.standard_normal(out.shape)
+    nd.backward(nd.sum_(nd.mul(out, Tensor(g))))
+
+    xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0)))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(kern.data)
+    for bi in range(b):
+        for i in range(out.shape[1]):
+            for j in range(out.shape[2]):
+                window = (bi, slice(i * s, i * s + k), slice(j * s, j * s + k))
+                dxp[window] += kern.data @ g[bi, i, j]
+                dw += xp[window][..., None] * g[bi, i, j]
+    np.testing.assert_allclose(x.grad, dxp[:, p:p + h, p:p + w], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kern.grad, dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bias.grad, g.sum(axis=(0, 1, 2)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 3, 5), (2, 4, 6)], ids=["sunet_bhwc", "srs_bld"])
+def test_layer_norm_matches_textbook_formula(shape, rng):
+    n = shape[-1]
+    x = Tensor(rng.standard_normal(shape) * 3.0 + 1.0, requires_grad=True)
+    gain = Tensor(rng.standard_normal(n), requires_grad=True)
+    bias = Tensor(rng.standard_normal(n), requires_grad=True)
+    before = x.data.copy()
+    out = nd.layer_norm(x, gain, bias)
+    g = rng.standard_normal(shape)
+    nd.backward(nd.sum_(nd.mul(out, Tensor(g))))
+    np.testing.assert_array_equal(x.data, before)
+
+    rows, grows = before.reshape(-1, n), g.reshape(-1, n)
+    y, dx = np.empty_like(rows), np.empty_like(rows)
+    for r, (row, grow) in enumerate(zip(rows, grows)):
+        sigma = np.sqrt(np.var(row) + 1e-5)
+        xhat = (row - row.mean()) / sigma
+        y[r] = xhat * gain.data + bias.data
+        # Jacobian of y with respect to the row: d y_i / d x_j
+        jac = gain.data[:, None] * (np.eye(n) - 1.0 / n - np.outer(xhat, xhat) / n) / sigma
+        dx[r] = grow @ jac
+    xhats = (rows - rows.mean(axis=1, keepdims=True)) / np.sqrt(rows.var(axis=1, keepdims=True) + 1e-5)
+    np.testing.assert_allclose(out.data.reshape(-1, n), y, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x.grad.reshape(-1, n), dx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gain.grad, (grows * xhats).sum(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bias.grad, grows.sum(axis=0), rtol=0, atol=1e-12)
+
+
 def test_softmax_symmetry():
     out = nd.softmax(Tensor(np.zeros(2)))
     np.testing.assert_allclose(out.data, [0.5, 0.5])
@@ -152,7 +212,8 @@ def test_three_layer_perceptron_matches_finite_differences(rng):
 @pytest.mark.parametrize("op_name", [
     "add", "mul", "matmul", "softmax", "layer_norm", "silu", "relu_off_kink",
     "softplus", "mean", "sum_axis", "reshape", "transpose", "concat", "take",
-    "embedding", "conv", "conv_strided", "upsample", "attention",
+    "embedding", "conv", "conv_strided", "conv_1x1", "conv_odd_strided", "upsample",
+    "attention",
 ])
 def test_every_op_passes_randomized_fd(op_name, rng):
     a = Tensor(rng.standard_normal((3, 4)) + 2.5, requires_grad=True)
@@ -164,6 +225,8 @@ def test_every_op_passes_randomized_fd(op_name, rng):
     table = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
     q = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
     ids = rng.integers(0, 6, size=(2, 3))
+    kern1 = Tensor(rng.standard_normal((1, 1, 3, 2)), requires_grad=True)
+    img_odd = Tensor(rng.standard_normal((2, 5, 3, 3)), requires_grad=True)
 
     builders = {
         "add": (lambda: nd.add(a, b), [a, b]),
@@ -183,6 +246,8 @@ def test_every_op_passes_randomized_fd(op_name, rng):
         "embedding": (lambda: nd.embedding(table, ids), [table]),
         "conv": (lambda: nd.conv2d(img, kern, padding=1), [img, kern]),
         "conv_strided": (lambda: nd.conv2d(img, kern, stride=2, padding=1), [img, kern]),
+        "conv_1x1": (lambda: nd.conv2d(img, kern1), [img, kern1]),
+        "conv_odd_strided": (lambda: nd.conv2d(img_odd, kern, stride=2, padding=1), [img_odd, kern]),
         "upsample": (lambda: nd.upsample_nearest2d(img, 2), [img]),
         "attention": (lambda: nd.scaled_dot_attention(q, q, q), [q]),
     }

@@ -58,7 +58,9 @@ def test_augment_samples_from_a_matching_checkpoint(stages, tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("M", 3), ("schedule_family", "cosine"), ("T", 5),
-                                          ("beta_start", 0.01), ("beta_end", 0.2)])
+                                          ("beta_start", 0.01), ("beta_end", 0.2),
+                                          ("embed_dim", 4), ("levels", 1), ("base_width", 8),
+                                          ("res_blocks", 2)])
 def test_augment_refuses_a_checkpoint_trained_with_other_settings(stages, tmp_path, field, value):
     cfg, raw, models = stages
     with pytest.raises(ValueError) as err:
