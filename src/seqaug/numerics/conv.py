@@ -1,8 +1,26 @@
 """2-d convolution and nearest-neighbour upsampling, channels-last (NHWC).
 
-``conv2d`` is one gather and one GEMM each way, through a cached pair of
-index tables per geometry whose one-past-the-end index reads an appended
-zero row: on the SU-Net's 4x4 and 2x2 planes copies cost more than GEMMs.
+``conv2d`` lowers a convolution one of two ways, chosen from the input's
+geometry alone:
+
+- **dense**: the taps of ``w`` are scattered into one (H*W*C, OH*OW*O)
+  weight matrix. The forward pass is ``x @ big``, the input gradient
+  ``g @ big.T``, and the weight gradient the valid (input pixel, output
+  pixel) blocks of ``x.T @ g``, folded onto the taps by one one-hot GEMM.
+- **gather**: im2col through a cached pair of index tables whose
+  one-past-the-end index reads an appended zero row, then one GEMM each way.
+
+The dense matrix has H*W*OH*OW blocks of C*O weights, and only the blocks
+of valid taps are non-zero. A geometry goes dense when the blocks number
+at most ``_DENSE_RATIO`` times its valid taps. Why 3: on 2 cores in float32
+at the SU-Net's widths (6-96 channels, B 128-256), 3x3 convs on 2x2 and 4x4
+planes (ratios 1.0 and 2.56) took 0.25-0.85 of the gather time (72->24 on
+4x4 with its backward: 1.09), because the 9x im2col copy cost more than the
+zero blocks' arithmetic. Ratio 3.7 (3x3 on 5x5) took 1.1-1.4x the gather
+time, 4 (1x1 on 2x2) 1.4-1.7x, 5.1 (3x3 on 6x6) 1.6-1.9x, 8.5 (3x3 on 8x8)
+2.7-2.8x and 16 (1x1 on 4x4) 4.7-5.2x. 3 lies between the last ratio that
+won and the first that lost. Wider convs move the crossover down: at 48-128
+channels a 4x4 plane ran 1.1-1.7x slower dense.
 """
 
 import functools
@@ -12,18 +30,42 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, _accum, _make, as_tensor
 
+_DENSE_RATIO = 3
+
+
+def _windows(h, w, kh, kw, stride, padding):
+    """``fwd[q, k]``: the input pixel that output pixel q reads through tap k; ``h * w`` is padding."""
+    plane = np.pad(np.arange(h * w).reshape(h, w), padding, constant_values=h * w)
+    return sliding_window_view(plane, (kh, kw))[::stride, ::stride].reshape(-1, kh * kw)
+
 
 @functools.lru_cache(maxsize=32)
 def _tables(h, w, kh, kw, stride, padding):
-    """Read-only ``fwd[q, k]``, the input pixel output pixel q reads through tap k, and ``bwd[p, k]``,
-    the output pixel whose tap k reads input pixel p; one past the last pixel is the zero row."""
-    plane = np.pad(np.arange(h * w).reshape(h, w), padding, constant_values=h * w)
-    fwd = sliding_window_view(plane, (kh, kw))[::stride, ::stride].reshape(-1, kh * kw)
+    """Read-only ``fwd[q, k]`` and ``bwd[p, k]``, the output pixel whose tap k reads
+    input pixel p; one past the last pixel is the zero row."""
+    fwd = _windows(h, w, kh, kw, stride, padding)
     q, k = np.nonzero(fwd < h * w)
     bwd = np.full((h * w, kh * kw), len(fwd))
     bwd[fwd[q, k], k] = q
     fwd.flags.writeable = bwd.flags.writeable = False
     return fwd, bwd
+
+
+@functools.lru_cache(maxsize=32)
+def _taps(h, w, kh, kw, stride, padding):
+    """Read-only ``(p, q, k, fold)`` of the valid taps: input pixel ``p[i]`` feeds output
+    pixel ``q[i]`` through tap ``k[i]``, and ``fold`` is the (K, n) one-hot that sums
+    the n taps onto K. None when the geometry takes the gather lowering."""
+    fwd = _windows(h, w, kh, kw, stride, padding)
+    q, k = np.nonzero(fwd < h * w)
+    if h * w * len(fwd) > _DENSE_RATIO * len(q):
+        return None
+    fold = np.zeros((kh * kw, len(q)), dtype=np.float32)
+    fold[k, np.arange(len(q))] = 1.0
+    p = fwd[q, k]
+    for table in (p, q, k, fold):
+        table.flags.writeable = False
+    return p, q, k, fold
 
 
 def _gather(a, table):
@@ -44,9 +86,34 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, kernel {w.data.shape}")
 
-    fwd, bwd_table = _tables(h, wd, kh, kw, stride, padding)
-    col = _gather(x.data.reshape(bs, h * wd, c), fwd)
-    out_data = (col @ w.data.reshape(kh * kw * c, o)).reshape(bs, oh, ow, o)
+    taps = _taps(h, wd, kh, kw, stride, padding)
+    if taps is None:
+        fwd, bwd_table = _tables(h, wd, kh, kw, stride, padding)
+        col = _gather(x.data.reshape(bs, h * wd, c), fwd)
+        out_data = col @ w.data.reshape(kh * kw * c, o)
+
+        def weight_grad(g):
+            return col.T @ g.reshape(-1, o)
+
+        def input_grad(g):
+            dcol = _gather(g.reshape(bs, oh * ow, o), bwd_table)
+            return dcol @ w.data.transpose(0, 1, 3, 2).reshape(kh * kw * o, c)
+    else:
+        p, q, k, fold = taps
+        big = np.zeros((h * wd, c, oh * ow, o), dtype=w.data.dtype)
+        big[p, :, q] = w.data.reshape(kh * kw, c, o)[k]
+        big = big.reshape(h * wd * c, oh * ow * o)
+        flat = x.data.reshape(bs, h * wd * c)
+        out_data = flat @ big
+
+        def weight_grad(g):
+            blocks = (flat.T @ g.reshape(bs, -1)).reshape(h * wd, c, oh * ow, o)[p, :, q]
+            return fold @ blocks.reshape(len(p), c * o)
+
+        def input_grad(g):
+            return g.reshape(bs, -1) @ big.T
+
+    out_data = out_data.reshape(bs, oh, ow, o)
     if b is not None:
         b = as_tensor(b)
         if b.data.shape != (o,):
@@ -56,12 +123,11 @@ def conv2d(x, w, b=None, stride=1, padding=0):
 
     def bwd(g):
         if w.requires_grad:
-            _accum(w, (col.T @ g.reshape(-1, o)).reshape(w.data.shape))
+            _accum(w, weight_grad(g).reshape(w.data.shape))
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 1, 2)))
         if x.requires_grad:
-            dcol = _gather(g.reshape(bs, oh * ow, o), bwd_table)
-            _accum(x, (dcol @ w.data.transpose(0, 1, 3, 2).reshape(kh * kw * o, c)).reshape(bs, h, wd, c))
+            _accum(x, input_grad(g).reshape(x.data.shape))
 
     return _make(out_data, parents, bwd, "conv2d")
 

@@ -300,13 +300,31 @@ def concat(tensors, axis):
 
 
 def take(a, idx):
-    """numpy-style indexing; gradient scatters back with np.add.at."""
+    """numpy-style indexing by ints and slices, or by an integer array or a tuple of them
+    over the leading axes; an array index's gradient is a sorted segment sum, so
+    repeated indices add up."""
     a = as_tensor(a)
+    arrays = idx if isinstance(idx, tuple) else (idx,)
+    basic = all(isinstance(i, (int, slice)) for i in arrays)
+    if not basic:
+        arrays = tuple(np.asarray(i) for i in arrays)
+        if not all(np.issubdtype(i.dtype, np.integer) for i in arrays):
+            raise ShapeError(f"take indices must be integers, got dtypes {[str(i.dtype) for i in arrays]}")
     out_data = a.data[idx]
 
     def bwd(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
+        if basic:
+            buf[idx] = g
+        elif g.size:
+            # negative indices wrap as in the forward pass, which already rejected out-of-range ones
+            flat = np.ravel_multi_index(np.broadcast_arrays(*arrays), a.data.shape[:len(arrays)], mode="wrap").ravel()
+            order = np.argsort(flat, kind="stable")
+            keys = flat[order]
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            trail = a.data.shape[len(arrays):]
+            rows = g.reshape(len(flat), *trail)[order]
+            buf.reshape(-1, *trail)[keys[starts]] = np.add.reduceat(rows, starts, axis=0)
         _accum(a, buf)
 
     return _make(out_data, (a,), bwd, "take")
@@ -373,11 +391,8 @@ def layer_norm(a, gain, bias):
 
 
 def embedding(table, ids):
-    """Row lookup ``table[ids]`` by integer ids; ``take`` scatter-adds the gradient."""
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ShapeError(f"embedding ids must be integers, got dtype {ids.dtype}")
-    return take(table, ids)
+    """Row lookup ``table[ids]`` by integer ids; ``take`` sums the gradient of repeated ids."""
+    return take(table, np.asarray(ids))
 
 
 def dropout(a, rate, train, rng, draw_len=None):

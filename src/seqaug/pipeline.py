@@ -44,17 +44,24 @@ def run_synth(config, out_dir):
 
 
 def run_preprocess(config, input_path, out_dir):
+    """The manifest embeds the input directory's manifest, when there is one, as
+    ``input_manifest``: ``seqaug synth`` preprocesses into its own directory."""
     _ensure_dir(out_dir)
     ds = load_interactions(input_path, min_len=config.min_len)
-    save_sequences(ds, os.path.join(out_dir, "sequences.tsv"))
-    save_vocab(ds, os.path.join(out_dir, "vocab.tsv"))
-    save_manifest(os.path.join(out_dir, "manifest.json"), config, extra={
+    extra = {
         "stage": "preprocess",
         "input": os.path.abspath(input_path),
         "num_users": ds.num_users,
         "num_items": ds.num_items,
         "avg_length": ds.avg_length(),
-    })
+    }
+    input_manifest = os.path.join(os.path.dirname(os.path.abspath(input_path)), "manifest.json")
+    if os.path.exists(input_manifest):
+        with open(input_manifest, encoding="utf-8") as f:
+            extra["input_manifest"] = json.load(f)
+    save_sequences(ds, os.path.join(out_dir, "sequences.tsv"))
+    save_vocab(ds, os.path.join(out_dir, "vocab.tsv"))
+    save_manifest(os.path.join(out_dir, "manifest.json"), config, extra=extra)
     return ds
 
 

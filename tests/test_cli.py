@@ -112,6 +112,14 @@ def test_synth_subcommand_byte_identical(tmp_path):
     assert ds.num_users == 50
 
 
+def test_synth_subcommand_keeps_the_synth_manifest(tmp_path):
+    assert run_cli("synth", "--users", "20", "--items", "10", "--seed", "1", "--out", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["stage"] == "preprocess"
+    assert manifest["input_manifest"]["stage"] == "synth"
+    assert manifest["input_manifest"]["rows"] == len((tmp_path / "interactions.tsv").read_text().splitlines())
+
+
 def test_preprocess_subcommand(tmp_path):
     src = tmp_path / "raw"
     run_cli("synth", "--users", "30", "--items", "15", "--seed", "2", "--out", str(src))

@@ -1,8 +1,13 @@
+import os
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from seqaug import numerics as nd
-from seqaug.numerics import Adam, Tensor
+from seqaug.config import load_config
+from seqaug.numerics import Adam, Tensor, conv
+from seqaug.sunet import SUNet
 
 
 def scalar(x):
@@ -51,7 +56,7 @@ def test_conv2d_matches_direct_convolution_oracle(rng):
 
 
 def _conv_geometries():
-    for h, w in ((4, 4), (2, 2), (5, 3)):
+    for h, w in ((4, 4), (2, 2), (5, 3), (8, 8)):
         for k in (1, 3):
             for s in (1, 2):
                 for p in (0, 1):
@@ -80,6 +85,41 @@ def test_conv2d_gradients_match_direct_loop_oracle(h, w, k, s, p, rng):
     np.testing.assert_allclose(x.grad, dxp[:, p:p + h, p:p + w], rtol=0, atol=1e-12)
     np.testing.assert_allclose(kern.grad, dw, rtol=0, atol=1e-12)
     np.testing.assert_allclose(bias.grad, g.sum(axis=(0, 1, 2)), rtol=0, atol=1e-12)
+
+
+def _lowering(h, w, k, s, p):
+    return "gather" if conv._taps(h, w, k, k, s, p) is None else "dense"
+
+
+def test_oracle_geometries_exercise_both_lowerings():
+    lowerings = Counter(_lowering(*geometry) for geometry in _conv_geometries())
+    assert lowerings["dense"] > 0 and lowerings["gather"] > 0
+
+
+def test_conv2d_lowering_of_each_sunet_geometry(monkeypatch):
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "synth.cfg"))
+    net = SUNet(cfg.sunet_config(), cfg.synth_items, nd.seed_stream(0))
+    taps, seen = conv._taps, []
+
+    def spy(*geometry):
+        found = taps(*geometry)
+        seen.append((geometry, "gather" if found is None else "dense"))
+        return found
+
+    monkeypatch.setattr(conv, "_taps", spy)
+    with nd.no_grad():
+        net.predict_noise(np.zeros((2, cfg.M, cfg.embed_dim)), 1, np.zeros((2, cfg.embed_dim)))
+    monkeypatch.undo()
+    # (h, w, kh, kw, stride, padding): 14 of synth's 17 convs go dense, its 1x1 skips gather
+    assert Counter(seen) == {
+        ((4, 4, 3, 3, 1, 1), "dense"): 7,
+        ((4, 4, 3, 3, 2, 1), "dense"): 1,
+        ((2, 2, 3, 3, 1, 1), "dense"): 6,
+        ((2, 2, 1, 1, 1, 0), "gather"): 2,
+        ((4, 4, 1, 1, 1, 0), "gather"): 1,
+    }
+    # paper-scale's 8x8 planes and their downsample keep the gather path
+    assert _lowering(8, 8, 3, 1, 1) == _lowering(8, 8, 3, 2, 1) == "gather"
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 3, 5), (2, 4, 6)], ids=["sunet_bhwc", "srs_bld"])
@@ -139,6 +179,17 @@ def test_embedding_gradient_sums_over_repeated_ids():
     expected[1] = upstream[0, 0] + upstream[0, 1] + upstream[1, 0]
     expected[2] = upstream[1, 1]
     np.testing.assert_array_equal(table.grad, expected)
+
+    # the tuple form scorer_input_gradient indexes its logits with, negative ids included
+    logits = Tensor(np.zeros((3, 4)), requires_grad=True)
+    rows, cols = np.array([0, 2, 2, 0, 2]), np.array([1, 3, -1, 1, 0])
+    upstream = np.arange(1.0, 6.0)
+    nd.backward(nd.sum_(nd.mul(nd.take(logits, (rows, cols)), upstream)))
+    expected = np.zeros((3, 4))
+    expected[0, 1] = upstream[0] + upstream[3]
+    expected[2, 3] = upstream[1] + upstream[2]
+    expected[2, 0] = upstream[4]
+    np.testing.assert_array_equal(logits.grad, expected)
 
 
 def test_embedding_rejects_float_ids():
