@@ -65,6 +65,8 @@ def train_augmentor(ds, config, log=None):
             opt.step()
             total += value
             batches += 1
+            # free this batch's graph before the next batch builds its own
+            del loss
         losses.append(total / batches)
         if log:
             log(f"epoch {epoch + 1}/{config.diff_epochs}: loss {losses[-1]:.5f}")

@@ -6,7 +6,6 @@ verbatim into every output manifest so a run can be reproduced from its
 artifacts alone.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -172,10 +171,3 @@ def load_config(path=None, overrides=None):
         values[key] = _coerce(key, str(raw), types[key])
     return RunConfig(**values).validate()
 
-
-def save_manifest(path, config, extra=None):
-    payload = {"config": config.to_dict()}
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)

@@ -1,12 +1,14 @@
 """Interaction-log ingestion, leave-one-out splitting, user grouping, and
 the training subset for the augmentor.
 
-Canonical on-disk formats:
+Canonical on-disk formats, each TSV read through ``_tsv_rows``:
   * raw log:       ``user<TAB>item<TAB>timestamp`` per line (UTF-8 TSV)
   * sequence file: ``user_id<TAB>v1,v2,...,vn`` per line
   * vocabulary:    ``raw_id<TAB>dense_id`` per line
+  * JSON (manifests, reports, training curves): written by ``save_json``
 """
 
+import json
 from dataclasses import dataclass, field
 
 GROUP_SHORT = "short"
@@ -16,7 +18,7 @@ GROUPS = (GROUP_SHORT, GROUP_MEDIUM, GROUP_LONG)
 
 
 class ParseError(ValueError):
-    """A raw interaction line failed to parse; carries the 1-based line number."""
+    """A line of a TSV input failed to parse; carries the 1-based line number."""
 
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
@@ -68,6 +70,49 @@ class SplitDataset:
         return list(self.train[user]) + [self.valid_target[user], self.test_target[user]]
 
 
+def save_json(path, obj):
+    """The one JSON writer: indented, sorted keys, and strict (NaN or infinity
+    raises ValueError before the file is opened)."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+def _tsv_rows(path, width, parse):
+    """``(line_no, parse(*fields))`` per non-empty line of a TSV file. A line
+    without ``width`` fields, or one whose fields ``parse`` refuses with a
+    ValueError, raises ParseError at ``path:line_no``. One call converts a whole
+    line: a converter per field made load_interactions 1.6x slower (synth.cfg's
+    4,159-line log, Python 3.11)."""
+    with open(path, "r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != width:
+                raise ParseError(path, line_no, f"expected {width} tab-separated fields, got {len(parts)}")
+            try:
+                row = parse(*parts)
+            except ValueError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
+            yield line_no, row
+
+
+def _interaction(user, item, ts):
+    user, item, ts = int(user), int(item), float(ts)
+    if user < 1:
+        raise ValueError(f"user id must be >= 1, got {user}")
+    return user, item, ts
+
+
+def _sequence(user, items):
+    user, seq = int(user), [int(v) for v in items.split(",")]
+    if any(v < 1 for v in seq):
+        raise ValueError("item ids must be >= 1")
+    return user, seq
+
+
 def load_interactions(path, min_len=3):
     """Parse a raw TSV log into an InteractionDataset.
 
@@ -77,23 +122,8 @@ def load_interactions(path, min_len=3):
     input bytes.
     """
     per_user = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-            try:
-                user = int(parts[0])
-                item = int(parts[1])
-                ts = float(parts[2])
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            if user < 1:
-                raise ParseError(path, line_no, f"user id must be >= 1, got {user}")
-            per_user.setdefault(user, []).append((ts, line_no, item))
+    for line_no, (user, item, ts) in _tsv_rows(path, 3, _interaction):
+        per_user.setdefault(user, []).append((ts, line_no, item))
 
     users = {}
     vocab = {}
@@ -118,31 +148,13 @@ def save_sequences(ds, path):
             f.write(f"{user}\t{','.join(str(v) for v in seq)}\n")
 
 
-def load_sequences(path, num_items=None):
+def load_sequences(path):
     """Read a canonical sequence file. Item ids are taken as already dense;
-    ``num_items`` defaults to the max id seen."""
-    users = {}
-    max_item = 0
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(parts)}")
-            try:
-                user = int(parts[0])
-                seq = [int(v) for v in parts[1].split(",")]
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            if any(v < 1 for v in seq):
-                raise ParseError(path, line_no, "item ids must be >= 1")
-            users[user] = seq
-            max_item = max(max_item, max(seq))
-    if not users:
+    ``num_items`` is the max id seen."""
+    rows = [row for _, row in _tsv_rows(path, 2, _sequence)]
+    if not rows:
         raise EmptyDatasetError(f"{path}: no sequences")
-    return InteractionDataset(users=users, num_items=num_items or max_item)
+    return InteractionDataset(users=dict(rows), num_items=max(max(seq) for _, seq in rows))
 
 
 def save_vocab(ds, path):
@@ -152,20 +164,7 @@ def save_vocab(ds, path):
 
 
 def load_vocab(path):
-    vocab = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(parts)}")
-            try:
-                vocab[int(parts[0])] = int(parts[1])
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-    return vocab
+    return dict(row for _, row in _tsv_rows(path, 2, lambda raw, dense: (int(raw), int(dense))))
 
 
 def leave_one_out_split(ds):

@@ -7,7 +7,6 @@ items the user never interacted with; ties rank the target last
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -38,15 +37,6 @@ class EvalReport:
 
     def to_dict(self):
         return asdict(self)
-
-    def save_json(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True, allow_nan=False)
-
-    @staticmethod
-    def from_json(path):
-        with open(path, "r", encoding="utf-8") as f:
-            return EvalReport(**json.load(f))
 
 
 def sample_eval_negatives(num_items, forbidden, count, rng):

@@ -7,8 +7,10 @@ geometry alone:
   weight matrix. The forward pass is ``x @ big``, the input gradient
   ``g @ big.T``, and the weight gradient the valid (input pixel, output
   pixel) blocks of ``x.T @ g``, folded onto the taps by one one-hot GEMM.
-- **gather**: im2col through a cached pair of index tables whose
-  one-past-the-end index reads an appended zero row, then one GEMM each way.
+- **gather**: im2col through a pair of index tables whose one-past-the-end
+  index reads an appended zero row, then one GEMM each way.
+
+``_plan`` caches either lowering's index arrays per geometry.
 
 The dense matrix has H*W*OH*OW blocks of C*O weights, and only the blocks
 of valid taps are non-zero. A geometry goes dense when the blocks number
@@ -33,39 +35,28 @@ from .tensor import ShapeError, _accum, _make, as_tensor
 _DENSE_RATIO = 3
 
 
-def _windows(h, w, kh, kw, stride, padding):
-    """``fwd[q, k]``: the input pixel that output pixel q reads through tap k; ``h * w`` is padding."""
+@functools.lru_cache(maxsize=32)
+def _plan(h, w, kh, kw, stride, padding):
+    """The lowering of one geometry, every array read-only: ``("dense", p, q, k, fold)``,
+    where input pixel ``p[i]`` feeds output pixel ``q[i]`` through tap ``k[i]`` and the
+    (K, n) one-hot ``fold`` sums the n taps onto K; or ``("gather", fwd, bwd)``, where
+    ``fwd[q, k]`` is the input pixel output pixel q reads through tap k, ``bwd[p, k]``
+    the output pixel whose tap k reads input pixel p, and one past the last pixel is
+    the zero row."""
     plane = np.pad(np.arange(h * w).reshape(h, w), padding, constant_values=h * w)
-    return sliding_window_view(plane, (kh, kw))[::stride, ::stride].reshape(-1, kh * kw)
-
-
-@functools.lru_cache(maxsize=32)
-def _tables(h, w, kh, kw, stride, padding):
-    """Read-only ``fwd[q, k]`` and ``bwd[p, k]``, the output pixel whose tap k reads
-    input pixel p; one past the last pixel is the zero row."""
-    fwd = _windows(h, w, kh, kw, stride, padding)
+    fwd = sliding_window_view(plane, (kh, kw))[::stride, ::stride].reshape(-1, kh * kw)
     q, k = np.nonzero(fwd < h * w)
-    bwd = np.full((h * w, kh * kw), len(fwd))
-    bwd[fwd[q, k], k] = q
-    fwd.flags.writeable = bwd.flags.writeable = False
-    return fwd, bwd
-
-
-@functools.lru_cache(maxsize=32)
-def _taps(h, w, kh, kw, stride, padding):
-    """Read-only ``(p, q, k, fold)`` of the valid taps: input pixel ``p[i]`` feeds output
-    pixel ``q[i]`` through tap ``k[i]``, and ``fold`` is the (K, n) one-hot that sums
-    the n taps onto K. None when the geometry takes the gather lowering."""
-    fwd = _windows(h, w, kh, kw, stride, padding)
-    q, k = np.nonzero(fwd < h * w)
-    if h * w * len(fwd) > _DENSE_RATIO * len(q):
-        return None
-    fold = np.zeros((kh * kw, len(q)), dtype=np.float32)
-    fold[k, np.arange(len(q))] = 1.0
-    p = fwd[q, k]
-    for table in (p, q, k, fold):
+    if h * w * len(fwd) <= _DENSE_RATIO * len(q):
+        fold = np.zeros((kh * kw, len(q)), dtype=np.float32)
+        fold[k, np.arange(len(q))] = 1.0
+        plan = ("dense", fwd[q, k], q, k, fold)
+    else:
+        bwd = np.full((h * w, kh * kw), len(fwd))
+        bwd[fwd[q, k], k] = q
+        plan = ("gather", fwd, bwd)
+    for table in plan[1:]:
         table.flags.writeable = False
-    return p, q, k, fold
+    return plan
 
 
 def _gather(a, table):
@@ -86,9 +77,9 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, kernel {w.data.shape}")
 
-    taps = _taps(h, wd, kh, kw, stride, padding)
-    if taps is None:
-        fwd, bwd_table = _tables(h, wd, kh, kw, stride, padding)
+    lowering, *tables = _plan(h, wd, kh, kw, stride, padding)
+    if lowering == "gather":
+        fwd, bwd_table = tables
         col = _gather(x.data.reshape(bs, h * wd, c), fwd)
         out_data = col @ w.data.reshape(kh * kw * c, o)
 
@@ -99,7 +90,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             dcol = _gather(g.reshape(bs, oh * ow, o), bwd_table)
             return dcol @ w.data.transpose(0, 1, 3, 2).reshape(kh * kw * o, c)
     else:
-        p, q, k, fold = taps
+        p, q, k, fold = tables
         big = np.zeros((h * wd, c, oh * ow, o), dtype=w.data.dtype)
         big[p, :, q] = w.data.reshape(kh * kw, c, o)[k]
         big = big.reshape(h * wd * c, oh * ow * o)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import save_checkpoint
 from .conv import conv2d
 from .tensor import Tensor
 
@@ -51,11 +51,6 @@ class Module:
 
     def save(self, path, meta=None):
         save_checkpoint(path, self.state_arrays(), meta=meta)
-
-    def load(self, path):
-        arrays, meta = load_checkpoint(path)
-        self.load_state_arrays(arrays)
-        return meta
 
 
 def param(data, dtype=None):

@@ -1,7 +1,7 @@
 """Stage functions behind the CLI: each one reads the previous stage's
-artifacts from disk, does its work, and writes its own directory. Every
-stage directory holds one ``manifest.json`` from ``config.save_manifest``
-(the stage name, the full RunConfig and the stage's own facts) beside:
+artifacts from disk, does its work, and writes its own directory. ``_stage``
+makes the directory and writes its one ``manifest.json`` (the stage name,
+the full RunConfig and the stage's own facts) beside:
 
   synth            interactions.tsv
   preprocess       sequences.tsv, vocab.tsv
@@ -11,6 +11,7 @@ stage directory holds one ``manifest.json`` from ``config.save_manifest``
   evaluate         report.json
 """
 
+import contextlib
 import json
 import os
 from dataclasses import asdict
@@ -18,50 +19,48 @@ from dataclasses import asdict
 from . import augment as aug_mod
 from . import diffusion, srs, synth
 from . import numerics as nd
-from .config import save_manifest
 from .dataset import (leave_one_out_split, load_interactions, load_sequences, load_vocab,
-                      save_sequences, save_vocab)
+                      save_json, save_sequences, save_vocab)
 from .evaluation import average_reports, compare, evaluate
 from .numerics import seed_stream
 from .srs import SrsConfig, SrsModel
 from .sunet import SUNet, SUNetConfig
 
 
-def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+@contextlib.contextmanager
+def _stage(name, config, out_dir, **facts):
+    """Run a stage's body at the config's precision inside ``out_dir``, and yield
+    ``facts`` for the body to add to. ``manifest.json`` (``stage``, the full
+    ``config`` and the facts) is written only if the body returns normally."""
+    os.makedirs(out_dir, exist_ok=True)
+    with nd.precision(config.precision):
+        yield facts
+    save_json(os.path.join(out_dir, "manifest.json"),
+              {"stage": name, "config": config.to_dict(), **facts})
 
 
 def run_synth(config, out_dir):
-    _ensure_dir(out_dir)
-    rows = synth.generate_interactions(num_users=config.synth_users, num_items=config.synth_items,
-                                       seed=config.seed)
-    path = os.path.join(out_dir, "interactions.tsv")
-    synth.write_interactions(path, rows)
-    save_manifest(os.path.join(out_dir, "manifest.json"), config,
-                  extra={"stage": "synth", "rows": len(rows)})
+    with _stage("synth", config, out_dir) as facts:
+        rows = synth.generate_interactions(num_users=config.synth_users,
+                                           num_items=config.synth_items, seed=config.seed)
+        path = os.path.join(out_dir, "interactions.tsv")
+        synth.write_interactions(path, rows)
+        facts["rows"] = len(rows)
     return path
 
 
 def run_preprocess(config, input_path, out_dir):
     """The manifest embeds the input directory's manifest, when there is one, as
     ``input_manifest``: ``seqaug synth`` preprocesses into its own directory."""
-    _ensure_dir(out_dir)
-    ds = load_interactions(input_path, min_len=config.min_len)
-    extra = {
-        "stage": "preprocess",
-        "input": os.path.abspath(input_path),
-        "num_users": ds.num_users,
-        "num_items": ds.num_items,
-        "avg_length": ds.avg_length(),
-    }
-    input_manifest = os.path.join(os.path.dirname(os.path.abspath(input_path)), "manifest.json")
-    if os.path.exists(input_manifest):
-        with open(input_manifest, encoding="utf-8") as f:
-            extra["input_manifest"] = json.load(f)
-    save_sequences(ds, os.path.join(out_dir, "sequences.tsv"))
-    save_vocab(ds, os.path.join(out_dir, "vocab.tsv"))
-    save_manifest(os.path.join(out_dir, "manifest.json"), config, extra=extra)
+    with _stage("preprocess", config, out_dir, input=os.path.abspath(input_path)) as facts:
+        ds = load_interactions(input_path, min_len=config.min_len)
+        facts.update(num_users=ds.num_users, num_items=ds.num_items, avg_length=ds.avg_length())
+        input_manifest = os.path.join(os.path.dirname(os.path.abspath(input_path)), "manifest.json")
+        if os.path.exists(input_manifest):
+            with open(input_manifest, encoding="utf-8") as f:
+                facts["input_manifest"] = json.load(f)
+        save_sequences(ds, os.path.join(out_dir, "sequences.tsv"))
+        save_vocab(ds, os.path.join(out_dir, "vocab.tsv"))
     return ds
 
 
@@ -81,19 +80,15 @@ def _augment_config(config):
 
 
 def run_train_diffusion(config, data_dir, out_dir, log=None):
-    with nd.precision(config.precision):
-        _ensure_dir(out_dir)
+    with _stage("train-diffusion", config, out_dir, data=os.path.abspath(data_dir)) as facts:
         ds = load_dataset_dir(data_dir)
         model, losses = aug_mod.train_augmentor(ds, config, log=log)
         meta = {"net_config": asdict(model.config), "num_items": ds.num_items,
                 "config": config.to_dict(), "condition": diffusion.CONDITION}
         model.save(os.path.join(out_dir, "model.ckpt"), meta=meta)
-        with open(os.path.join(out_dir, "losses.json"), "w", encoding="utf-8") as f:
-            json.dump(losses, f)
-        save_manifest(os.path.join(out_dir, "manifest.json"), config,
-                      extra={"stage": "train-diffusion", "data": os.path.abspath(data_dir),
-                             "final_loss": losses[-1]})
-        return model, losses
+        save_json(os.path.join(out_dir, "losses.json"), losses)
+        facts["final_loss"] = losses[-1]
+    return model, losses
 
 
 def _load_checkpoint(model_dir, stage):
@@ -130,8 +125,7 @@ def run_train_srs(config, data_dir, out_dir, role="backbone"):
     role: 'backbone' / 'classifier' train on forward sequences with
     validation tracking; 'reverse' trains the pre-order generator.
     """
-    with nd.precision(config.precision):
-        _ensure_dir(out_dir)
+    with _stage("train-srs", config, out_dir, role=role, data=os.path.abspath(data_dir)):
         ds = load_dataset_dir(data_dir)
         split = leave_one_out_split(ds)
         model = SrsModel(config.srs_config(ds.num_items), seed_stream(config.seed, "srs-init", role))
@@ -141,29 +135,21 @@ def run_train_srs(config, data_dir, out_dir, role="backbone"):
             history = srs.train(model, split, config)
         meta = {"srs_config": asdict(model.config), "role": role}
         model.save(os.path.join(out_dir, "model.ckpt"), meta=meta)
-        with open(os.path.join(out_dir, "history.json"), "w", encoding="utf-8") as f:
-            json.dump(history, f)
-        save_manifest(os.path.join(out_dir, "manifest.json"), config,
-                      extra={"stage": "train-srs", "role": role, "data": os.path.abspath(data_dir)})
-        return model, history
-
-
-def load_srs_model(model_dir):
-    arrays, meta = _load_checkpoint(model_dir, "train-srs")
-    cfg = SrsConfig(**meta["srs_config"])
-    model = SrsModel(cfg, seed_stream(0, "srs-load"))
-    model.load_state_arrays(arrays)
-    return model, meta
+        save_json(os.path.join(out_dir, "history.json"), history)
+    return model, history
 
 
 def _load_recommender(model_dir, needed_by, reverse):
-    """A train-srs checkpoint for ``needed_by``; refuses one trained in the
-    other direction (role 'reverse' vs 'backbone' / 'classifier')."""
-    model, meta = load_srs_model(model_dir)
+    """The train-srs checkpoint in ``model_dir`` as a model for ``needed_by``;
+    refuses one trained in the other direction (role 'reverse' vs 'backbone' /
+    'classifier')."""
+    arrays, meta = _load_checkpoint(model_dir, "train-srs")
     if (meta["role"] == "reverse") != reverse:
         need = "'reverse'" if reverse else "'backbone' or 'classifier'"
         raise ValueError(f"recommender in {model_dir} has role={meta['role']!r}, "
                          f"but {needed_by} needs role {need}")
+    model = SrsModel(SrsConfig(**meta["srs_config"]), seed_stream(0, "srs-load"))
+    model.load_state_arrays(arrays)
     return model
 
 
@@ -186,8 +172,7 @@ def _check_checkpoint(trained, config, model_dir):
 
 def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=None,
                 reverse_dir=None):
-    with nd.precision(config.precision):
-        _ensure_dir(out_dir)
+    with _stage("augment", config, out_dir, data=os.path.abspath(data_dir)) as facts:
         ds = load_dataset_dir(data_dir)
         model = classifier = reverse_model = None
         if config.strategy in ("diffusion_cg", "diffusion_cf"):
@@ -206,18 +191,16 @@ def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=No
         augmented = aug_mod.augment_dataset(ds, config, model=model, reverse_model=reverse_model,
                                             classifier=classifier)
         aug_mod.emit(augmented, out_dir, item_vocab=ds.item_vocab or None)
-        save_manifest(os.path.join(out_dir, "manifest.json"), config,
-                      extra={"stage": "augment", "data": os.path.abspath(data_dir),
-                             "zero_rows": augmented.zero_rows})
-        return augmented
+        facts["zero_rows"] = augmented.zero_rows
+    return augmented
 
 
 def run_evaluate(config, model_dir, data_dir, raw_data_dir, out_dir, target="test"):
     """Evaluate a trained recommender. ``data_dir`` is what it was trained on
     (supplies input sequences); ``raw_data_dir`` supplies real histories for
     negatives and user groups."""
-    with nd.precision(config.precision):
-        _ensure_dir(out_dir)
+    with _stage("evaluate", config, out_dir, model=os.path.abspath(model_dir),
+                data=os.path.abspath(data_dir)):
         model = _load_recommender(model_dir, "evaluate", reverse=False)
         train_ds = load_dataset_dir(data_dir)
         raw_ds = load_dataset_dir(raw_data_dir)
@@ -227,11 +210,8 @@ def run_evaluate(config, model_dir, data_dir, raw_data_dir, out_dir, target="tes
         split = leave_one_out_split(train_ds)
         report = evaluate(model, split, raw_ds, negatives=config.eval_negatives,
                           seed=config.seed, k=config.eval_k, target=target)
-        report.save_json(os.path.join(out_dir, "report.json"))
-        save_manifest(os.path.join(out_dir, "manifest.json"), config,
-                      extra={"stage": "evaluate", "model": os.path.abspath(model_dir),
-                             "data": os.path.abspath(data_dir)})
-        return report
+        save_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    return report
 
 
 def run_pipeline_once(config, raw_dir, work_dir, strategy=None, seed=None):
@@ -244,8 +224,7 @@ def run_pipeline_once(config, raw_dir, work_dir, strategy=None, seed=None):
     if strategy is not None or seed is not None:
         cfg = replace(config, **({"strategy": strategy} if strategy is not None else {}),
                       **({"seed": seed} if seed is not None else {}))
-    tag = f"{cfg.strategy}-seed{cfg.seed}"
-    work = _ensure_dir(os.path.join(work_dir, tag))
+    work = os.path.join(work_dir, f"{cfg.strategy}-seed{cfg.seed}")
 
     aug_dir = os.path.join(work, "augmented")
     if cfg.strategy in ("none", "random", "random_seq"):
@@ -273,7 +252,7 @@ def run_sweep(config, raw_dir, out_dir, m_values=None, gamma_values=None, seeds=
     """Fan out over M or gamma values (times seeds), average reports per
     setting, and write a comparison table."""
     from dataclasses import replace
-    _ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     seeds = seeds or [config.seed]
     if m_values:
         settings = [(f"M={m}", replace(config, M=m)) for m in m_values]
@@ -287,7 +266,8 @@ def run_sweep(config, raw_dir, out_dir, m_values=None, gamma_values=None, seeds=
                                       os.path.join(out_dir, name.replace("=", "-")))
                     for s in seeds]
         reports[name] = average_reports(per_seed)
-        reports[name].save_json(os.path.join(out_dir, f"report-{name.replace('=', '-')}.json"))
+        save_json(os.path.join(out_dir, f"report-{name.replace('=', '-')}.json"),
+                  reports[name].to_dict())
     text, csv_text = compare(reports, k=config.eval_k)
     with open(os.path.join(out_dir, "comparison.txt"), "w", encoding="utf-8") as f:
         f.write(text + "\n")

@@ -1,5 +1,6 @@
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from seqaug.dataset import (EmptyDiffusionSetError, InteractionDataset,
                             build_diffusion_training_set, leave_one_out_split,
                             load_sequences, save_sequences)
 from seqaug.numerics import seed_stream
+from seqaug.numerics.checkpoint import load_checkpoint
 from seqaug.srs import SrsConfig, SrsModel, train_reverse
 
 
@@ -83,6 +85,22 @@ def test_train_augmentor_stops_at_the_first_non_finite_loss(chain_ds, monkeypatc
     assert len(calls) == per_epoch + 2
 
 
+def test_train_augmentor_frees_each_batch_graph_before_the_next(chain_ds, monkeypatch):
+    # Tensor has no __weakref__ slot, so each loss is watched through its data
+    # array, which only the loss node holds
+    real, watched = am.diffusion.training_loss, []
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in watched), "a previous batch's loss is still alive"
+        loss = real(*args, **kwargs)
+        watched.append(weakref.ref(loss.data))
+        return loss
+
+    monkeypatch.setattr(am.diffusion, "training_loss", spy)
+    train_augmentor(chain_ds, small_config(diff_epochs=2))
+    assert len(watched) > 2
+
+
 def test_train_augmentor_checkpoint_reproduces_loss(chain_ds, tmp_path):
     from seqaug import diffusion
     from seqaug.sunet import SUNet
@@ -91,7 +109,7 @@ def test_train_augmentor_checkpoint_reproduces_loss(chain_ds, tmp_path):
     path = tmp_path / "diff.ckpt"
     model.save(path)
     clone = SUNet(model.config, model.num_items, seed_stream(9, "clone"))
-    clone.load(path)
+    clone.load_state_arrays(load_checkpoint(path)[0])
     sched = cfg.schedule()
     aug_ids = np.array([[1, 2, 3], [4, 5, 6]])
     raws = [[7, 8], [9]]

@@ -41,19 +41,37 @@ def test_timestamp_order_with_input_order_ties(tmp_path):
     assert [k for k, _ in sorted(ds.item_vocab.items(), key=lambda kv: kv[1])] == raw_order
 
 
-def test_malformed_line_reports_line_number(tmp_path):
+# loader, a good first line, a bad second line and the message it must give
+MALFORMED = {
+    "interactions-fields": (dsm.load_interactions, "1\t2\t3", "not a line",
+                            "expected 3 tab-separated fields, got 1"),
+    "interactions-int": (dsm.load_interactions, "1\t2\t3", "1\tx\t3",
+                         "invalid literal for int() with base 10: 'x'"),
+    "interactions-float": (dsm.load_interactions, "1\t2\t3", "1\t2\tlate",
+                           "could not convert string to float: 'late'"),
+    "interactions-id": (dsm.load_interactions, "1\t2\t3", "0\t2\t3",
+                        "user id must be >= 1, got 0"),
+    "sequences-fields": (dsm.load_sequences, "1\t2,3", "1\t2\t3",
+                         "expected 2 tab-separated fields, got 3"),
+    "sequences-int": (dsm.load_sequences, "1\t2,3", "2\t4,x",
+                      "invalid literal for int() with base 10: 'x'"),
+    "sequences-id": (dsm.load_sequences, "1\t2,3", "2\t4,0", "item ids must be >= 1"),
+    "vocab-fields-1": (dsm.load_vocab, "10\t1", "7", "expected 2 tab-separated fields, got 1"),
+    "vocab-fields-3": (dsm.load_vocab, "10\t1", "7\t1\t2",
+                       "expected 2 tab-separated fields, got 3"),
+    "vocab-int": (dsm.load_vocab, "10\t1", "x\t1", "invalid literal for int() with base 10: 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_line_reports_path_line_and_cause(tmp_path, case):
+    load, good, bad, message = MALFORMED[case]
     path = tmp_path / "bad.tsv"
-    path.write_text("1\t2\t3\nnot a line\n", encoding="utf-8")
-    with pytest.raises(dsm.ParseError, match="bad.tsv:2"):
-        dsm.load_interactions(path)
-
-
-@pytest.mark.parametrize("bad", ["7", "7\t1\t2", "x\t1"])
-def test_malformed_vocab_line_reports_line_number(tmp_path, bad):
-    path = tmp_path / "vocab.tsv"
-    path.write_text(f"10\t1\n{bad}\n", encoding="utf-8")
-    with pytest.raises(dsm.ParseError, match="vocab.tsv:2"):
-        dsm.load_vocab(path)
+    path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(dsm.ParseError) as info:
+        load(path)
+    assert str(info.value) == f"{path}:2: {message}"
+    assert info.value.line_no == 2
 
 
 def test_empty_result_is_explicit_error(tmp_path):

@@ -88,7 +88,7 @@ def test_conv2d_gradients_match_direct_loop_oracle(h, w, k, s, p, rng):
 
 
 def _lowering(h, w, k, s, p):
-    return "gather" if conv._taps(h, w, k, k, s, p) is None else "dense"
+    return conv._plan(h, w, k, k, s, p)[0]
 
 
 def test_oracle_geometries_exercise_both_lowerings():
@@ -99,14 +99,14 @@ def test_oracle_geometries_exercise_both_lowerings():
 def test_conv2d_lowering_of_each_sunet_geometry(monkeypatch):
     cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "synth.cfg"))
     net = SUNet(cfg.sunet_config(), cfg.synth_items, nd.seed_stream(0))
-    taps, seen = conv._taps, []
+    plan, seen = conv._plan, []
 
     def spy(*geometry):
-        found = taps(*geometry)
-        seen.append((geometry, "gather" if found is None else "dense"))
+        found = plan(*geometry)
+        seen.append((geometry, found[0]))
         return found
 
-    monkeypatch.setattr(conv, "_taps", spy)
+    monkeypatch.setattr(conv, "_plan", spy)
     with nd.no_grad():
         net.predict_noise(np.zeros((2, cfg.M, cfg.embed_dim)), 1, np.zeros((2, cfg.embed_dim)))
     monkeypatch.undo()

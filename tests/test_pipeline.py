@@ -49,6 +49,22 @@ def test_float32_stage_leaves_the_callers_precision(stages, tmp_path):
     assert nd.default_dtype() is np.float64
 
 
+def test_stage_writes_its_manifest_only_after_its_body_returns(tmp_path):
+    cfg = load_config(None, SIZES)
+    out = tmp_path / "done"
+    with pipeline._stage("evaluate", cfg, str(out), data="d") as facts:
+        assert nd.default_dtype() is np.float32
+        assert os.listdir(out) == []
+        facts["users"] = 3
+    assert nd.default_dtype() is np.float64
+    assert json.loads((out / "manifest.json").read_text()) == {
+        "stage": "evaluate", "config": cfg.to_dict(), "data": "d", "users": 3}
+    with pytest.raises(RuntimeError, match="body failed"):
+        with pipeline._stage("evaluate", cfg, str(tmp_path / "failed")):
+            raise RuntimeError("body failed")
+    assert os.listdir(tmp_path / "failed") == []
+
+
 def test_augment_samples_from_a_matching_checkpoint(stages, tmp_path):
     cfg, raw, models = stages
     out = tmp_path / "aug"
@@ -68,6 +84,7 @@ def test_augment_refuses_a_checkpoint_trained_with_other_settings(stages, tmp_pa
                              diffusion_dir=models["diffusion_cf"])
     message = str(err.value)
     assert field in message and repr(getattr(cfg, field)) in message and repr(value) in message
+    assert os.listdir(tmp_path / "aug") == []
 
 
 def test_diffusion_cf_sampling_refuses_a_model_without_an_unconditional_branch(stages, tmp_path):
@@ -105,6 +122,7 @@ def test_evaluate_refuses_a_reverse_model(stages, tmp_path):
     with pytest.raises(ValueError, match=f"{re.escape(models['reverse'])} has role='reverse', "
                                          "but evaluate needs role 'backbone' or 'classifier'"):
         pipeline.run_evaluate(cfg, models["reverse"], raw, raw, str(tmp_path / "report"))
+    assert os.listdir(tmp_path / "report") == []
 
 
 def test_evaluate_refuses_a_model_with_a_smaller_catalogue(stages, tmp_path):

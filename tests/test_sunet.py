@@ -6,6 +6,7 @@ import pytest
 from seqaug import numerics as nd
 from seqaug.diffusion import condition_batch, lead_condition
 from seqaug.numerics import Tensor, seed_stream
+from seqaug.numerics.checkpoint import load_checkpoint
 from seqaug.sunet import SUNet, SUNetConfig, sinusoidal_step_embedding
 
 
@@ -197,6 +198,7 @@ def test_checkpoint_roundtrip_reproduces_forward(tiny_net, tmp_path, rng):
     path = tmp_path / "sunet.ckpt"
     tiny_net.save(path, meta={"kind": "sunet"})
     other = SUNet(tiny_net.config, tiny_net.num_items, seed_stream(99, "other"))
-    meta = other.load(path)
+    arrays, meta = load_checkpoint(path)
+    other.load_state_arrays(arrays)
     assert meta["kind"] == "sunet"
     np.testing.assert_array_equal(other.predict_noise(x, 5, c).data, before)
