@@ -9,18 +9,17 @@ own sequence (``random_seq``), the reverse-trained autoregressive generator
 (``reverse_gen``), or ``none``. Every function here reads the RunConfig.
 """
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffusion, srs
-from . import numerics as nd
 from .dataset import (InteractionDataset, build_diffusion_training_set, group_of,
                       save_sequences, save_vocab)
 from .numerics import seed_stream
 from .sunet import SUNet
+from .training import epoch_losses
 
 
 @dataclass
@@ -41,35 +40,21 @@ def train_augmentor(ds, config, log=None):
     pairs = build_diffusion_training_set(ds, config.M, exclude_test=config.exclude_test)
     sched = config.schedule()
     model = SUNet(config.sunet_config(), ds.num_items, seed_stream(config.seed, "sunet-init"))
-    opt = nd.Adam(list(model.parameters().values()), lr=config.diff_lr)
-    shuffle_rng = seed_stream(config.seed, "diff-shuffle")
     draw_rng = seed_stream(config.seed, "diff-draws")
     p_uncond = config.p_uncond if config.strategy == "diffusion_cf" else 0.0
 
+    def batch_loss(indices):
+        batch = [pairs[i] for i in indices]
+        return diffusion.training_loss(model, np.array([b[1] for b in batch], dtype=np.int64),
+                                       [b[2] for b in batch], sched, draw_rng, p_uncond=p_uncond)
+
     losses = []
-    order = np.arange(len(pairs))
-    for epoch in range(config.diff_epochs):
-        shuffle_rng.shuffle(order)
-        total, batches = 0.0, 0
-        for start in range(0, len(order), config.diff_batch_size):
-            batch = [pairs[i] for i in order[start:start + config.diff_batch_size]]
-            aug_ids = np.array([b[1] for b in batch], dtype=np.int64)
-            raws = [b[2] for b in batch]
-            loss = diffusion.training_loss(model, aug_ids, raws, sched, draw_rng, p_uncond=p_uncond)
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise FloatingPointError(f"train-diffusion: loss {value} at epoch {epoch + 1}, "
-                                         f"batch {batches + 1}")
-            model.zero_grad()
-            nd.backward(loss)
-            opt.step()
-            total += value
-            batches += 1
-            # free this batch's graph before the next batch builds its own
-            del loss
-        losses.append(total / batches)
+    for loss in epoch_losses("train-diffusion", model, config.diff_lr, len(pairs),
+                             config.diff_batch_size, config.diff_epochs,
+                             seed_stream(config.seed, "diff-shuffle"), batch_loss):
+        losses.append(loss)
         if log:
-            log(f"epoch {epoch + 1}/{config.diff_epochs}: loss {losses[-1]:.5f}")
+            log(f"epoch {len(losses)}/{config.diff_epochs}: loss {loss:.5f}")
     return model, losses
 
 

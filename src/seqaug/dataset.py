@@ -99,11 +99,15 @@ def _tsv_rows(path, width, parse):
             yield line_no, row
 
 
+def _positive_id(name, text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _interaction(user, item, ts):
-    user, item, ts = int(user), int(item), float(ts)
-    if user < 1:
-        raise ValueError(f"user id must be >= 1, got {user}")
-    return user, item, ts
+    return _positive_id("user id", user), int(item), float(ts)
 
 
 def _sequence(user, items):
@@ -164,7 +168,7 @@ def save_vocab(ds, path):
 
 
 def load_vocab(path):
-    return dict(row for _, row in _tsv_rows(path, 2, lambda raw, dense: (int(raw), int(dense))))
+    return dict(row for _, row in _tsv_rows(path, 2, lambda r, d: (int(r), _positive_id("dense id", d))))
 
 
 def leave_one_out_split(ds):

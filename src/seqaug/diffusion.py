@@ -127,16 +127,12 @@ def loss_given_draws(model, aug_ids, raw_seqs, sched, t, eps, uncond_mask=None):
 
 
 def training_loss(model, aug_ids, raw_seqs, sched, rng, p_uncond=0.0):
-    """Draw t ~ U{1..T} and eps ~ N(0, I) per example, then the mean squared
-    error between the drawn noise and the prediction given the preference
-    mean plus the lead item (``lead_condition``). With p_uncond > 0 the
-    condition vector is replaced by the padding vector at that rate
-    (classifier-free training)."""
-    aug_ids = np.asarray(aug_ids, dtype=np.int64)
-    if aug_ids.ndim == 1:
-        aug_ids = aug_ids[None, :]
-        raw_seqs = [raw_seqs]
-    b, m = aug_ids.shape
+    """Draw t ~ U{1..T} and eps ~ N(0, I) per row of the (B, M) ``aug_ids``,
+    then the mean squared error between the drawn noise and the prediction
+    given the preference mean plus the lead item (``lead_condition``). With
+    p_uncond > 0 the condition vector is replaced by the padding vector at
+    that rate (classifier-free training)."""
+    b, m = np.shape(aug_ids)
     t = rng.integers(1, sched.T + 1, size=b)
     eps = rng.standard_normal((b, m, model.config.embed_dim))
     uncond = rng.random(b) < p_uncond if p_uncond > 0 else None

@@ -188,6 +188,12 @@ def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=No
             if reverse_dir is None:
                 raise ValueError("strategy reverse_gen needs --reverse-model (train-srs --role reverse output)")
             reverse_model = _load_recommender(reverse_dir, "--reverse-model", reverse=True)
+        # every data item id indexes the model's item table (row 0 is padding)
+        for model_dir, m in zip((diffusion_dir, classifier_dir, reverse_dir),
+                                (model, classifier, reverse_model)):
+            if m is not None and m.item_emb.shape[0] - 1 != ds.num_items:
+                raise ValueError(f"{model_dir} holds a model of {m.item_emb.shape[0] - 1} items, "
+                                 f"but the data in {data_dir} has {ds.num_items} items")
         augmented = aug_mod.augment_dataset(ds, config, model=model, reverse_model=reverse_model,
                                             classifier=classifier)
         aug_mod.emit(augmented, out_dir, item_vocab=ds.item_vocab or None)

@@ -10,13 +10,13 @@ items yields one (input, next-item) example, scored with a binary
 cross-entropy over the positive logit plus sampled negative logits.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nd
 from .numerics import LayerNorm, Linear, Module, param, seed_stream
+from .training import epoch_losses
 
 NEG_INF = -1e9
 
@@ -205,47 +205,31 @@ def _valid_hr10(model, split):
     return hits / max(1, total)
 
 
-def _fit(model, sequences, config, full_histories, valid_split=None):
-    """Shared training loop over the RunConfig's ``srs_*`` settings and seed.
-    ``full_histories`` maps user -> set of item ids negatives must avoid;
-    ``valid_split`` enables per-epoch HR@10 tracking and restores the
-    best-validation weights at the end."""
+def _fit(model, sequences, split, config, validate):
+    """Train on the sequence-to-one examples of ``sequences`` with the RunConfig's
+    ``srs_*`` settings; each negative avoids its user's full sequence in ``split``.
+    With ``validate``, tracks HR@10 on ``split``'s validation targets each epoch
+    and restores the best-validation weights at the end."""
     examples = build_examples(sequences)
     if not examples:
         raise ValueError("no training examples; every sequence has length < 2")
-    opt = nd.Adam(list(model.parameters().values()), lr=config.srs_lr)
-    shuffle_rng = seed_stream(config.seed, "srs-shuffle")
+    avoid = {u: set(split.full_sequence(u)) for u in split.train}
     neg_rng = seed_stream(config.seed, "srs-negatives")
     drop_rng = seed_stream(config.seed, "srs-dropout")
     num_items = model.config.num_items
 
+    def batch_loss(indices):
+        rows = [(prefix, target, sample_negatives(num_items, avoid[user], 1, neg_rng))
+                for user, prefix, target in (examples[i] for i in indices)]
+        return _batch_loss(model, rows, train=True, rng=drop_rng)
+
     history = {"loss": [], "valid_hr10": []}
     best = (-1.0, None)
-    order = np.arange(len(examples))
-    for epoch in range(config.srs_epochs):
-        shuffle_rng.shuffle(order)
-        epoch_loss, n_batches = 0.0, 0
-        for start in range(0, len(order), config.srs_batch_size):
-            rows = []
-            for idx in order[start:start + config.srs_batch_size]:
-                user, prefix, target = examples[idx]
-                negs = sample_negatives(num_items, full_histories[user], 1, neg_rng)
-                rows.append((prefix, target, negs))
-            loss = _batch_loss(model, rows, train=True, rng=drop_rng)
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise FloatingPointError(f"train-srs: loss {value} at epoch {epoch + 1}, "
-                                         f"batch {n_batches + 1}")
-            model.zero_grad()
-            nd.backward(loss)
-            opt.step()
-            epoch_loss += value
-            n_batches += 1
-            # free this batch's graph before the next batch builds its own
-            del loss
-        history["loss"].append(epoch_loss / n_batches)
-        if valid_split is not None:
-            hr = _valid_hr10(model, valid_split)
+    for loss in epoch_losses("train-srs", model, config.srs_lr, len(examples), config.srs_batch_size,
+                             config.srs_epochs, seed_stream(config.seed, "srs-shuffle"), batch_loss):
+        history["loss"].append(loss)
+        if validate:
+            hr = _valid_hr10(model, split)
             history["valid_hr10"].append(hr)
             if hr > best[0]:
                 best = (hr, model.state_arrays())
@@ -257,8 +241,7 @@ def _fit(model, sequences, config, full_histories, valid_split=None):
 def train(model, split, config):
     """Fit on the train portion of a leave-one-out split; tracks validation
     HR@10 each epoch and restores the best-validation weights at the end."""
-    full = {u: set(split.full_sequence(u)) for u in split.train}
-    return _fit(model, split.train, config, full, valid_split=split)
+    return _fit(model, split.train, split, config, validate=True)
 
 
 def train_reverse(model, split, config):
@@ -266,8 +249,7 @@ def train_reverse(model, split, config):
     pre-order generator used by the iterative-extension baseline."""
     reversed_seqs = {u: list(reversed(split.train[u] + [split.valid_target[u]]))
                      for u in split.train}
-    full = {u: set(split.full_sequence(u)) for u in split.train}
-    return _fit(model, reversed_seqs, config, full, valid_split=None)
+    return _fit(model, reversed_seqs, split, config, validate=False)
 
 
 def generate_preorder(model, raw_items, M):

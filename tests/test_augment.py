@@ -7,7 +7,7 @@ import pytest
 
 from seqaug import augment as am
 from seqaug import numerics as nd
-from seqaug import pipeline, synth
+from seqaug import pipeline, srs, synth
 from seqaug.augment import augment_dataset, emit, train_augmentor
 from seqaug.config import STRATEGIES, RunConfig
 from seqaug.dataset import (EmptyDiffusionSetError, InteractionDataset,
@@ -85,10 +85,24 @@ def test_train_augmentor_stops_at_the_first_non_finite_loss(chain_ds, monkeypatc
     assert len(calls) == per_epoch + 2
 
 
-def test_train_augmentor_frees_each_batch_graph_before_the_next(chain_ds, monkeypatch):
+# each trainer's loss function, as a module global the loop looks up per batch, and a
+# short training through the trainer's public entry point
+TRAINERS = {
+    "train-diffusion": (am.diffusion, "training_loss",
+                        lambda ds: train_augmentor(ds, small_config(diff_epochs=2))),
+    "train-srs": (srs, "_batch_loss", lambda ds: srs.train(
+        SrsModel(SrsConfig(num_items=ds.num_items, embed_dim=8, blocks=1, max_len=12),
+                 seed_stream(3, "srs")),
+        leave_one_out_split(ds), RunConfig(srs_epochs=2, srs_batch_size=16, seed=3))),
+}
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_trainer_frees_each_batch_graph_before_the_next(chain_ds, monkeypatch, trainer):
     # Tensor has no __weakref__ slot, so each loss is watched through its data
     # array, which only the loss node holds
-    real, watched = am.diffusion.training_loss, []
+    owner, name, train = TRAINERS[trainer]
+    real, watched = getattr(owner, name), []
 
     def spy(*args, **kwargs):
         assert all(ref() is None for ref in watched), "a previous batch's loss is still alive"
@@ -96,8 +110,8 @@ def test_train_augmentor_frees_each_batch_graph_before_the_next(chain_ds, monkey
         watched.append(weakref.ref(loss.data))
         return loss
 
-    monkeypatch.setattr(am.diffusion, "training_loss", spy)
-    train_augmentor(chain_ds, small_config(diff_epochs=2))
+    monkeypatch.setattr(owner, name, spy)
+    train(chain_ds)
     assert len(watched) > 2
 
 

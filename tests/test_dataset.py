@@ -60,6 +60,7 @@ MALFORMED = {
     "vocab-fields-3": (dsm.load_vocab, "10\t1", "7\t1\t2",
                        "expected 2 tab-separated fields, got 3"),
     "vocab-int": (dsm.load_vocab, "10\t1", "x\t1", "invalid literal for int() with base 10: 'x'"),
+    "vocab-id": (dsm.load_vocab, "10\t1", "7\t0", "dense id must be >= 1, got 0"),
 }
 
 

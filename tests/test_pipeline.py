@@ -1,7 +1,7 @@
 """Stage-level contracts of ``pipeline``: each stage computes at its
 configured precision without changing the caller's, augmentation and
 evaluation refuse a checkpoint trained with other settings, for another
-role or by another stage, and every stage directory holds one manifest."""
+role, catalogue or stage, and every stage directory holds one manifest."""
 
 import json
 import os
@@ -171,6 +171,25 @@ def test_cli_refuses_a_checkpoint_of_another_kind(stages, tmp_path, capsys, case
     sizes = [arg for key, value in SIZES.items() for arg in ("--set", f"{key}={value}")]
     code = main([args[0], *sizes, *args[1:], "--data", raw, "--out", str(tmp_path / "out")])
     assert (code, capsys.readouterr().err) == (1, f"error: {model_dir} holds {holds}\n")
+
+
+@pytest.mark.parametrize("strategy, flag, trained", [("diffusion_cf", "--model", "diffusion_cf"),
+                                                     ("reverse_gen", "--reverse-model", "reverse")])
+def test_cli_refuses_a_model_built_for_another_catalogue(stages, tmp_path, capsys, strategy, flag,
+                                                        trained):
+    cfg, raw, models = stages
+    wide = replace(cfg, synth_items=30)
+    wide_raw = str(tmp_path / "wide")
+    pipeline.run_preprocess(wide, pipeline.run_synth(wide, wide_raw), wide_raw)
+    num_items = (pipeline.load_dataset_dir(raw).num_items, pipeline.load_dataset_dir(wide_raw).num_items)
+    assert num_items[0] < num_items[1]
+    sizes = [arg for key, value in SIZES.items() for arg in ("--set", f"{key}={value}")]
+    code = main(["augment", *sizes, "--set", f"strategy={strategy}", flag, models[trained],
+                 "--data", wide_raw, "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: {models[trained]} holds a model of {num_items[0]} items, "
+           f"but the data in {wide_raw} has {num_items[1]} items\n")
+    assert os.listdir(tmp_path / "out") == []
 
 
 # the files each stage writes beside its manifest.json
