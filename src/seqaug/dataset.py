@@ -168,7 +168,17 @@ def save_vocab(ds, path):
 
 
 def load_vocab(path):
-    return dict(row for _, row in _tsv_rows(path, 2, lambda r, d: (int(r), _positive_id("dense id", d))))
+    """raw id -> dense id; an id repeated in either column raises ParseError at its line."""
+    vocab, seen = {}, set()
+    for line_no, (raw, dense) in _tsv_rows(path, 2, lambda r, d: (int(r), _positive_id("dense id", d))):
+        for key in (("raw", raw), ("dense", dense)):
+            if key in seen:
+                raise ParseError(path, line_no, f"{key[0]} id {key[1]} repeated")
+            seen.add(key)
+        vocab[raw] = dense
+    if not vocab:
+        raise ValueError(f"{path}: empty vocabulary")
+    return vocab
 
 
 def leave_one_out_split(ds):

@@ -399,9 +399,9 @@ def dropout(a, rate, train, rng, draw_len=None):
     """Inverted dropout. rate=0 or train=False is the identity.
 
     ``draw_len`` draws the mask that long on axis -2 and keeps its last
-    ``a.shape[-2]`` positions: a left-padded batch trimmed to its longest row
-    passes its untrimmed length, so the generator advances as at full width
-    and the kept entries are the same numbers whatever the trim."""
+    ``a.shape[-2]`` positions: a batch trimmed to its longest row, or to its
+    last position alone, passes its untrimmed length, so the generator
+    advances as at full width and the kept entries are full width's."""
     a = as_tensor(a)
     if not train or rate == 0.0:
         return a

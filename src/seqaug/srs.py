@@ -7,7 +7,8 @@ autoregressive pre-order generator baseline.
 
 Training uses the sequence-to-one scheme: every prefix of a user's train
 items yields one (input, next-item) example, scored with a binary
-cross-entropy over the positive logit plus sampled negative logits.
+cross-entropy over the positive logit plus sampled negative logits. Callers
+read only the last position, so the final block computes that one alone.
 """
 
 from dataclasses import dataclass
@@ -40,9 +41,12 @@ class AttnFFNBlock(Module):
         self.ffn1 = Linear(d, d, rng)
         self.ffn2 = Linear(d, d, rng)
 
-    def __call__(self, h, mask, drop_rate, train, rng, max_len):
+    def __call__(self, h, mask, drop_rate, train, rng, max_len, last=False):
         a = self.norm1(h)
-        a = nd.scaled_dot_attention(self.q(a), self.k(a), self.v(a), mask=mask)
+        k, v = self.k(a), self.v(a)
+        if last:
+            a, h, mask = nd.take(a, np.s_[:, -1:]), nd.take(h, np.s_[:, -1:]), mask[:, -1:]
+        a = nd.scaled_dot_attention(self.q(a), k, v, mask=mask)
         h = nd.add(h, nd.dropout(a, drop_rate, train, rng, draw_len=max_len))
         f = self.ffn2(nd.relu(self.ffn1(self.norm2(h))))
         return nd.add(h, nd.dropout(f, drop_rate, train, rng, draw_len=max_len))
@@ -54,7 +58,8 @@ class SrsModel(Module):
     A batch is as wide as its longest row, L <= max_len, and uses the last L
     rows of ``pos_emb``; padded keys get zero attention weight and dropout
     masks are drawn at max_len width, so trimming changes no result beyond
-    summation order."""
+    summation order. The last block computes the last position alone (its
+    keys and values read all L), with the mask entries full width gives it."""
 
     def __init__(self, config, rng):
         self.config = config
@@ -83,7 +88,7 @@ class SrsModel(Module):
         diagonal always open so fully-padded prefixes attend only to
         themselves (otherwise a pad row would leak future keys)."""
         b, L = pad_rows.shape
-        causal = np.triu(np.full((L, L), NEG_INF), k=1)
+        causal = np.triu(np.full((L, L), NEG_INF, dtype=nd.default_dtype()), k=1)
         mask = np.broadcast_to(causal, (b, L, L)).copy()
         mask += np.where(pad_rows[:, None, :] == 0, NEG_INF, 0.0)
         idx = np.arange(L)
@@ -91,28 +96,23 @@ class SrsModel(Module):
         return mask
 
     def encode(self, ids=None, emb_seq=None, pad_rows=None, train=False, rng=None):
-        """Hidden states (B, L, d). Either look up ``ids`` (B, L) or run a
-        caller-supplied embedding sequence (B, L, d) through the same trunk;
-        the two agree exactly when emb_seq equals the looked-up rows."""
+        """The last position's hidden state (B, d). Either look up ``ids`` (B, L)
+        or run a caller-supplied embedding sequence (B, L, d) through the same
+        trunk; the two agree exactly when emb_seq equals the looked-up rows."""
         if emb_seq is None:
             pad_rows = ids
             emb_seq = nd.embedding(self.item_emb, ids)
         elif pad_rows is None:
             raise ValueError("emb_seq input needs explicit pad_rows for masking")
-        d = self.config.embed_dim
-        h = nd.mul(emb_seq, float(np.sqrt(d)))
+        cfg = self.config
+        h = nd.mul(emb_seq, float(np.sqrt(cfg.embed_dim)))
         L = pad_rows.shape[1]
-        h = nd.add(h, nd.take(self.pos_emb, np.arange(self.config.max_len - L,
-                                                      self.config.max_len)))
-        h = nd.dropout(h, self.config.dropout, train, rng, draw_len=self.config.max_len)
+        h = nd.add(h, nd.take(self.pos_emb, np.arange(cfg.max_len - L, cfg.max_len)))
+        h = nd.dropout(h, cfg.dropout, train, rng, draw_len=cfg.max_len)
         mask = self._masks(pad_rows)
         for block in self.blocks:
-            h = block(h, mask, self.config.dropout, train, rng, self.config.max_len)
-        return self.final_norm(h)
-
-    def last_hidden(self, ids=None, emb_seq=None, pad_rows=None, train=False, rng=None):
-        h = self.encode(ids=ids, emb_seq=emb_seq, pad_rows=pad_rows, train=train, rng=rng)
-        return nd.take(h, (slice(None), -1))
+            h = block(h, mask, cfg.dropout, train, rng, cfg.max_len, last=block is self.blocks[-1])
+        return self.final_norm(nd.reshape(h, (len(pad_rows), cfg.embed_dim)))
 
     def logits_all(self, last_h):
         """Scores over the full catalogue: (B, V); column v-1 is item v."""
@@ -125,7 +125,7 @@ class SrsModel(Module):
         """(B, V) ndarray of next-item scores for item-id histories."""
         with nd.no_grad():
             ids = self.pad_batch(sequences)
-            return self.logits_all(self.last_hidden(ids=ids)).data
+            return self.logits_all(self.encode(ids=ids)).data
 
     def score_next(self, items):
         """(V,) scores after one history; over-length input keeps the most
@@ -137,7 +137,7 @@ class SrsModel(Module):
         (B, M, d); used for input-gradient guidance."""
         b, m, _ = emb_seq.shape
         pad_rows = np.ones((b, m), dtype=np.int64)
-        return self.logits_all(self.last_hidden(emb_seq=emb_seq, pad_rows=pad_rows))
+        return self.logits_all(self.encode(emb_seq=emb_seq, pad_rows=pad_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def sample_negatives(num_items, forbidden, count, rng):
 def _batch_loss(model, batch, train, rng):
     """Mean BCE over a batch of (padded_ids, target, negatives[]) rows."""
     ids = model.pad_batch([b[0] for b in batch])
-    last = model.last_hidden(ids=ids, train=train, rng=rng)
+    last = model.encode(ids=ids, train=train, rng=rng)
     pos_ids = np.array([b[1] for b in batch], dtype=np.int64)
     pos_logit = nd.sum_(nd.mul(last, nd.embedding(model.item_emb, pos_ids)), axis=-1)
     loss = nd.mean(nd.softplus(nd.mul(pos_logit, -1.0)))

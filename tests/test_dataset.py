@@ -61,6 +61,8 @@ MALFORMED = {
                        "expected 2 tab-separated fields, got 3"),
     "vocab-int": (dsm.load_vocab, "10\t1", "x\t1", "invalid literal for int() with base 10: 'x'"),
     "vocab-id": (dsm.load_vocab, "10\t1", "7\t0", "dense id must be >= 1, got 0"),
+    "vocab-raw-repeated": (dsm.load_vocab, "10\t1", "10\t2", "raw id 10 repeated"),
+    "vocab-dense-repeated": (dsm.load_vocab, "10\t1", "7\t1", "dense id 1 repeated"),
 }
 
 
@@ -73,6 +75,14 @@ def test_malformed_line_reports_path_line_and_cause(tmp_path, case):
         load(path)
     assert str(info.value) == f"{path}:2: {message}"
     assert info.value.line_no == 2
+
+
+def test_empty_vocab_names_its_file(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        dsm.load_vocab(path)
+    assert str(info.value) == f"{path}: empty vocabulary"
 
 
 def test_empty_result_is_explicit_error(tmp_path):

@@ -63,6 +63,15 @@ def test_relabeling_equivariance(rng):
         assert mapped[perm[v - 1] - 1] == pytest.approx(base[v - 1], abs=1e-12)
 
 
+def _first_block_states(model, ids):
+    """The first block's output at every position: ``encode`` keeps only the
+    last one, so causality is read one block down, at full width."""
+    with nd.no_grad():
+        h = nd.embedding(model.item_emb, ids)
+        return model.blocks[0](h, model._masks(ids), model.config.dropout, False, None,
+                               model.config.max_len).data
+
+
 def test_causal_mask_padding_slot_does_not_affect_hidden_states(rng):
     model = tiny_model(max_len=6)
     # padded by hand: pad_batch trims a lone row to its own length
@@ -70,11 +79,9 @@ def test_causal_mask_padding_slot_does_not_affect_hidden_states(rng):
     ids_b = ids_a.copy()
     # perturb a padding slot's id path by comparing hidden states for a
     # history extended on the left: earlier positions must not change
-    with nd.no_grad():
-        h_a = model.encode(ids=ids_a).data
+    h_a = _first_block_states(model, ids_a)
     ids_b[0, 2] = 5  # the slot just left of the real items
-    with nd.no_grad():
-        h_b = model.encode(ids=ids_b).data
+    h_b = _first_block_states(model, ids_b)
     # positions strictly before the perturbed slot are bitwise unchanged
     np.testing.assert_array_equal(h_a[0, :2], h_b[0, :2])
 
@@ -82,14 +89,67 @@ def test_causal_mask_padding_slot_does_not_affect_hidden_states(rng):
 def test_causality_perturbing_position_k_leaves_earlier_states_unchanged(rng):
     model = tiny_model(max_len=5)
     ids = model.pad_batch([[1, 2, 3, 4, 5]])
-    with nd.no_grad():
-        base = model.encode(ids=ids).data
+    base = _first_block_states(model, ids)
     for k in range(5):
         mod = ids.copy()
         mod[0, k] = (mod[0, k] % 10) + 1
-        with nd.no_grad():
-            out = model.encode(ids=mod).data
+        out = _first_block_states(model, mod)
         np.testing.assert_array_equal(base[0, :k], out[0, :k])
+
+
+def _full_width_encode(model):
+    """``encode`` with every block at all L positions, then ``final_norm``,
+    then the last row: the reference the last-position final block must match."""
+    cfg = model.config
+
+    def encode(ids=None, emb_seq=None, pad_rows=None, train=False, rng=None):
+        if emb_seq is None:
+            pad_rows, emb_seq = ids, nd.embedding(model.item_emb, ids)
+        L = pad_rows.shape[1]
+        h = nd.mul(emb_seq, float(np.sqrt(cfg.embed_dim)))
+        h = nd.add(h, nd.take(model.pos_emb, np.arange(cfg.max_len - L, cfg.max_len)))
+        h = nd.dropout(h, cfg.dropout, train, rng, draw_len=cfg.max_len)
+        mask = model._masks(pad_rows)
+        for block in model.blocks:
+            h = block(h, mask, cfg.dropout, train, rng, cfg.max_len, last=False)
+        return nd.take(model.final_norm(h), (slice(None), -1))
+
+    return encode
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_last_position_final_block_matches_full_width(monkeypatch, blocks):
+    """States, loss, every parameter gradient and score_embedded's input
+    gradient match the full-width reference over two consecutive dropout
+    batches drawn from one generator."""
+    batches = [[([3], 2, [7]), ([1, 4, 2], 5, [8]), ([5, 6, 7, 8, 9], 10, [1])],
+               [([2, 9], 4, [3]), ([7, 1, 1, 6, 2, 8, 3], 3, [2])]]
+    x = np.random.default_rng(4).standard_normal((2, 4, 16))
+
+    def outputs(model):
+        states_rng, loss_rng = seed_stream(9, "states"), seed_stream(9, "loss")
+        out = {}
+        for i, batch in enumerate(batches):
+            ids = model.pad_batch([row[0] for row in batch])
+            out[f"states {i}"] = model.encode(ids=ids, train=True, rng=states_rng).data
+            model.zero_grad()
+            loss = srs._batch_loss(model, batch, train=True, rng=loss_rng)
+            nd.backward(loss)
+            out[f"loss {i}"] = loss.data
+            out.update((f"grad {i} {n}", p.grad.copy()) for n, p in model.parameters().items())
+        emb = Tensor(x.copy(), requires_grad=True)
+        nd.backward(nd.mean(model.score_embedded(emb)))
+        out["input grad"] = emb.grad
+        return out
+
+    with nd.precision("float64"):
+        model = tiny_model(num_items=10, d=16, blocks=blocks, max_len=12, dropout=0.6)
+        last = outputs(model)
+        monkeypatch.setattr(model, "encode", _full_width_encode(model))
+        full = outputs(model)
+    assert last.keys() == full.keys()
+    for name in last:
+        np.testing.assert_allclose(last[name], full[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 def _pad_to_max_len(model, sequences):
@@ -118,9 +178,9 @@ def test_trimmed_batch_matches_full_width_with_dropout(monkeypatch):
     seqs = [[3], [1, 4, 2], [5, 6, 7, 8, 9]]
     trimmed = model.pad_batch(seqs)
     assert trimmed.shape == (3, 5)
-    h_trim = model.last_hidden(ids=trimmed, train=True, rng=seed_stream(9, "drop")).data
-    h_full = model.last_hidden(ids=_pad_to_max_len(model, seqs), train=True,
-                               rng=seed_stream(9, "drop")).data
+    h_trim = model.encode(ids=trimmed, train=True, rng=seed_stream(9, "drop")).data
+    h_full = model.encode(ids=_pad_to_max_len(model, seqs), train=True,
+                          rng=seed_stream(9, "drop")).data
     np.testing.assert_allclose(h_trim, h_full, rtol=0, atol=1e-12)
 
     batch = [(seq, target, [neg]) for seq, target, neg in zip(seqs, [2, 5, 10], [7, 8, 1])]
@@ -147,8 +207,8 @@ def test_embedding_matrix_path_matches_id_path_exactly(rng):
     ids = model.pad_batch([items])
     with nd.no_grad():
         looked_up = nd.embedding(model.item_emb, ids)
-        via_emb = model.logits_all(model.last_hidden(emb_seq=looked_up,
-                                                     pad_rows=ids)).data
+        via_emb = model.logits_all(model.encode(emb_seq=looked_up,
+                                                pad_rows=ids)).data
     via_ids = model.score_sequences([items])
     np.testing.assert_array_equal(via_emb, via_ids)
 
