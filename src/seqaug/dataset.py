@@ -154,11 +154,14 @@ def save_sequences(ds, path):
 
 def load_sequences(path):
     """Read a canonical sequence file. Item ids are taken as already dense;
-    ``num_items`` is the max id seen."""
-    rows = [row for _, row in _tsv_rows(path, 2, _sequence)]
-    if not rows:
+    ``num_items`` is the max id seen. A repeated user id raises ParseError at its line."""
+    users = {}
+    for line_no, (user, seq) in _tsv_rows(path, 2, _sequence):
+        if users.setdefault(user, seq) is not seq:
+            raise ParseError(path, line_no, f"user id {user} repeated")
+    if not users:
         raise EmptyDatasetError(f"{path}: no sequences")
-    return InteractionDataset(users=dict(rows), num_items=max(max(seq) for _, seq in rows))
+    return InteractionDataset(users=users, num_items=max(max(seq) for seq in users.values()))
 
 
 def save_vocab(ds, path):

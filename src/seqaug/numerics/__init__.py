@@ -24,6 +24,7 @@ from .tensor import (
     relu,
     reshape,
     scaled_dot_attention,
+    scatter,
     silu,
     softmax,
     softplus,

@@ -110,10 +110,11 @@ def _accum(t, g):
         return
     if g.shape != t.data.shape:
         raise ShapeError(f"gradient shape {g.shape} does not match tensor shape {t.data.shape}")
+    # no backward writes into a gradient array, so the first one is kept as given
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        t.grad = g.astype(t.data.dtype, copy=False)
     else:
-        t.grad += g
+        t.grad = (t.grad + g).astype(t.data.dtype, copy=False)
 
 
 def _unbroadcast(g, shape):
@@ -299,10 +300,15 @@ def concat(tensors, axis):
     return _make(out_data, tuple(tensors), bwd, "concat")
 
 
+def _flat_index(arrays, shape):
+    """Row-major positions of an integer-array index over ``shape``'s leading axes."""
+    return np.ravel_multi_index(np.broadcast_arrays(*arrays), shape[:len(arrays)], mode="wrap").ravel()
+
+
 def take(a, idx):
     """numpy-style indexing by ints and slices, or by an integer array or a tuple of them
-    over the leading axes; an array index's gradient is a sorted segment sum, so
-    repeated indices add up."""
+    over the leading axes. An array index's gradient is an assignment when its positions
+    strictly increase, else a sorted segment sum, so repeated indices add up."""
     a = as_tensor(a)
     arrays = idx if isinstance(idx, tuple) else (idx,)
     basic = all(isinstance(i, (int, slice)) for i in arrays)
@@ -318,16 +324,33 @@ def take(a, idx):
             buf[idx] = g
         elif g.size:
             # negative indices wrap as in the forward pass, which already rejected out-of-range ones
-            flat = np.ravel_multi_index(np.broadcast_arrays(*arrays), a.data.shape[:len(arrays)], mode="wrap").ravel()
-            order = np.argsort(flat, kind="stable")
-            keys = flat[order]
-            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            flat = _flat_index(arrays, a.data.shape)
             trail = a.data.shape[len(arrays):]
-            rows = g.reshape(len(flat), *trail)[order]
-            buf.reshape(-1, *trail)[keys[starts]] = np.add.reduceat(rows, starts, axis=0)
+            rows = g.reshape(len(flat), *trail)
+            if np.any(flat[1:] <= flat[:-1]):
+                order = np.argsort(flat, kind="stable")
+                flat, rows = flat[order], rows[order]
+                starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+                flat, rows = flat[starts], np.add.reduceat(rows, starts, axis=0)
+            buf.reshape(-1, *trail)[flat] = rows
         _accum(a, buf)
 
     return _make(out_data, (a,), bwd, "take")
+
+
+def scatter(a, idx, shape):
+    """Zeros of ``shape`` with ``a`` at the distinct positions ``idx`` (integer arrays over
+    the leading axes): the inverse of ``take``; its gradient is the gather ``g[idx]``."""
+    a = as_tensor(a)
+    trail = tuple(shape[len(idx):])
+    flat = _flat_index(idx, shape)
+    out_data = np.zeros(shape, dtype=a.data.dtype)
+    out_data.reshape(-1, *trail)[flat] = a.data
+
+    def bwd(g):
+        _accum(a, g.reshape(-1, *trail)[flat])
+
+    return _make(out_data, (a,), bwd, "scatter")
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +418,41 @@ def embedding(table, ids):
     return take(table, np.asarray(ids))
 
 
-def dropout(a, rate, train, rng, draw_len=None):
+def _random_at(rng, draw, at):
+    """``rng.random(draw)[at]``: one ``random`` call per run of consecutive positions,
+    and ``advance`` over the gaps and past the end."""
+    flat = _flat_index(at, draw)
+    if np.any(flat[1:] <= flat[:-1]):
+        raise ValueError("dropout positions `at` must strictly increase in row-major order")
+    width = int(np.prod(draw[len(at):]))
+    new_run = np.diff(flat, prepend=-2) != 1
+    run_end = np.diff(flat, append=flat[-1:] + 2) != 1
+    starts, stops = flat[new_run] * width, (flat[run_end] + 1) * width
+    parts, pos = [np.empty(0)], 0
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        rng.bit_generator.advance(start - pos)
+        parts.append(rng.random(stop - start))
+        pos = stop
+    rng.bit_generator.advance(int(np.prod(draw)) - pos)
+    return np.concatenate(parts).reshape(flat.shape + draw[len(at):])
+
+
+def dropout(a, rate, train, rng, draw=None, at=None):
     """Inverted dropout. rate=0 or train=False is the identity.
 
-    ``draw_len`` draws the mask that long on axis -2 and keeps its last
-    ``a.shape[-2]`` positions: a batch trimmed to its longest row, or to its
-    last position alone, passes its untrimmed length, so the generator
-    advances as at full width and the kept entries are full width's."""
+    The mask is ``rng.random(a.shape) >= rate``, or with ``draw``, ``rng.random(draw)[at]
+    >= rate``: ``at`` places ``a``'s rows in a larger layout (integer arrays over
+    ``draw``'s leading axes, strictly increasing in row-major order), so a packed batch
+    keeps the entries the full layout gives it. Only those are drawn and the rest skipped,
+    leaving ``rng`` where the full draw would; that needs a bit generator that steps once
+    per float64 and has ``advance`` (PCG64, which ``seed_stream`` returns)."""
     a = as_tensor(a)
     if not train or rate == 0.0:
         return a
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    shape = a.data.shape
-    full = shape if draw_len is None else shape[:-2] + (draw_len, shape[-1])
-    keep = (rng.random(full) >= rate)[tuple(slice(f - n, None) for f, n in zip(full, shape))]
-    keep = (keep / (1.0 - rate)).astype(a.data.dtype)
+    u = rng.random(a.data.shape) if draw is None else _random_at(rng, draw, at).reshape(a.data.shape)
+    keep = ((u >= rate) / (1.0 - rate)).astype(a.data.dtype)
     out_data = a.data * keep
 
     def bwd(g):

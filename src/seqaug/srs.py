@@ -9,6 +9,7 @@ Training uses the sequence-to-one scheme: every prefix of a user's train
 items yields one (input, next-item) example, scored with a binary
 cross-entropy over the positive logit plus sampled negative logits. Callers
 read only the last position, so the final block computes that one alone.
+Only the real positions of the left-padded rows are encoded, packed.
 """
 
 from dataclasses import dataclass
@@ -41,25 +42,35 @@ class AttnFFNBlock(Module):
         self.ffn1 = Linear(d, d, rng)
         self.ffn2 = Linear(d, d, rng)
 
-    def __call__(self, h, mask, drop_rate, train, rng, max_len, last=False):
+    def __call__(self, h, at, mask, drop, last=False):
+        """The block over the packed real positions ``h`` (N, d); ``at`` = (rows, cols)
+        places them in the (B, L) grid of ``mask``, where attention alone runs, and
+        ``drop(x, at)`` is dropout there. With ``last`` only each row's last position
+        comes out, (B, d); its keys and values read all N."""
+        b, L, d = mask.shape[0], mask.shape[-1], h.shape[-1]
         a = self.norm1(h)
-        k, v = self.k(a), self.v(a)
+        k, v = (nd.scatter(f(a), at, (b, L, d)) for f in (self.k, self.v))
+        q_at = at
         if last:
-            a, h, mask = nd.take(a, np.s_[:, -1:]), nd.take(h, np.s_[:, -1:]), mask[:, -1:]
-        a = nd.scaled_dot_attention(self.q(a), k, v, mask=mask)
-        h = nd.add(h, nd.dropout(a, drop_rate, train, rng, draw_len=max_len))
+            ends = np.flatnonzero(np.r_[at[0][1:] != at[0][:-1], True])
+            a, h, at = nd.take(a, ends), nd.take(h, ends), (at[0][ends], at[1][ends])
+            mask, q_at = mask[:, -1:], (at[0], np.zeros(b, dtype=np.int64))
+        q = nd.scatter(self.q(a), q_at, (b, mask.shape[1], d))
+        a = nd.take(nd.scaled_dot_attention(q, k, v, mask=mask), q_at)
+        h = nd.add(h, drop(a, at))
         f = self.ffn2(nd.relu(self.ffn1(self.norm2(h))))
-        return nd.add(h, nd.dropout(f, drop_rate, train, rng, draw_len=max_len))
+        return nd.add(h, drop(f, at))
 
 
 class SrsModel(Module):
     """Attention blocks over left-padded sequences; logits are the last
     position's hidden state dotted with the (tied) item-embedding table.
     A batch is as wide as its longest row, L <= max_len, and uses the last L
-    rows of ``pos_emb``; padded keys get zero attention weight and dropout
-    masks are drawn at max_len width, so trimming changes no result beyond
-    summation order. The last block computes the last position alone (its
-    keys and values read all L), with the mask entries full width gives it."""
+    rows of ``pos_emb``. Only the real positions are encoded, packed; attention
+    runs on the (B, L) grid, where padded keys get zero weight. Dropout keeps the
+    entries a (B, max_len, d) draw gives those positions, so packing and trimming
+    change no result beyond summation order. The last block computes the last
+    position alone (its keys and values read every position)."""
 
     def __init__(self, config, rng):
         self.config = config
@@ -84,35 +95,39 @@ class SrsModel(Module):
         return out
 
     def _masks(self, pad_rows):
-        """Additive mask: strictly causal plus padding keys blocked, with the
-        diagonal always open so fully-padded prefixes attend only to
-        themselves (otherwise a pad row would leak future keys)."""
-        b, L = pad_rows.shape
-        causal = np.triu(np.full((L, L), NEG_INF, dtype=nd.default_dtype()), k=1)
-        mask = np.broadcast_to(causal, (b, L, L)).copy()
-        mask += np.where(pad_rows[:, None, :] == 0, NEG_INF, 0.0)
-        idx = np.arange(L)
-        mask[:, idx, idx] = 0.0
-        return mask
+        """Additive (B, L, L) attention mask: a real query sees itself and the
+        real positions before it. Padded queries are never read."""
+        L = pad_rows.shape[1]
+        seen = np.tril(np.ones((L, L), dtype=bool)) & (pad_rows[:, None, :] != 0)
+        return np.where(seen, 0.0, NEG_INF).astype(nd.default_dtype())
 
     def encode(self, ids=None, emb_seq=None, pad_rows=None, train=False, rng=None):
         """The last position's hidden state (B, d). Either look up ``ids`` (B, L)
         or run a caller-supplied embedding sequence (B, L, d) through the same
-        trunk; the two agree exactly when emb_seq equals the looked-up rows."""
+        trunk; the two agree exactly when emb_seq equals the looked-up rows.
+        Only the nonzero (real) positions of the ids or ``pad_rows`` are encoded.
+        Rows are left-padded, so a row whose last slot is padding is refused."""
         if emb_seq is None:
             pad_rows = ids
-            emb_seq = nd.embedding(self.item_emb, ids)
         elif pad_rows is None:
             raise ValueError("emb_seq input needs explicit pad_rows for masking")
+        if not np.all(pad_rows[:, -1]):
+            raise ValueError("every row's last slot must hold an item; rows are left-padded")
         cfg = self.config
-        h = nd.mul(emb_seq, float(np.sqrt(cfg.embed_dim)))
-        L = pad_rows.shape[1]
-        h = nd.add(h, nd.take(self.pos_emb, np.arange(cfg.max_len - L, cfg.max_len)))
-        h = nd.dropout(h, cfg.dropout, train, rng, draw_len=cfg.max_len)
+        b, L = pad_rows.shape
+        at = np.nonzero(pad_rows)
+
+        def drop(x, at):
+            return nd.dropout(x, cfg.dropout, train, rng, draw=(b, cfg.max_len, cfg.embed_dim),
+                              at=(at[0], at[1] + (cfg.max_len - L)))
+
+        x = nd.embedding(self.item_emb, ids[at]) if emb_seq is None else nd.take(emb_seq, at)
+        h = nd.mul(x, float(np.sqrt(cfg.embed_dim)))
+        h = drop(nd.add(h, nd.take(self.pos_emb, at[1] + (cfg.max_len - L))), at)
         mask = self._masks(pad_rows)
         for block in self.blocks:
-            h = block(h, mask, cfg.dropout, train, rng, cfg.max_len, last=block is self.blocks[-1])
-        return self.final_norm(nd.reshape(h, (len(pad_rows), cfg.embed_dim)))
+            h = block(h, at, mask, drop, last=block is self.blocks[-1])
+        return self.final_norm(h)
 
     def logits_all(self, last_h):
         """Scores over the full catalogue: (B, V); column v-1 is item v."""
@@ -135,8 +150,7 @@ class SrsModel(Module):
     def score_embedded(self, emb_seq):
         """Graph-connected logits (B, V) from an embedding-sequence Tensor
         (B, M, d); used for input-gradient guidance."""
-        b, m, _ = emb_seq.shape
-        pad_rows = np.ones((b, m), dtype=np.int64)
+        pad_rows = np.ones(emb_seq.shape[:2], dtype=np.int64)
         return self.logits_all(self.encode(emb_seq=emb_seq, pad_rows=pad_rows))
 
 

@@ -56,6 +56,7 @@ MALFORMED = {
     "sequences-int": (dsm.load_sequences, "1\t2,3", "2\t4,x",
                       "invalid literal for int() with base 10: 'x'"),
     "sequences-id": (dsm.load_sequences, "1\t2,3", "2\t4,0", "item ids must be >= 1"),
+    "sequences-user-repeated": (dsm.load_sequences, "1\t2,3", "1\t4,5", "user id 1 repeated"),
     "vocab-fields-1": (dsm.load_vocab, "10\t1", "7", "expected 2 tab-separated fields, got 1"),
     "vocab-fields-3": (dsm.load_vocab, "10\t1", "7\t1\t2",
                        "expected 2 tab-separated fields, got 3"),

@@ -170,6 +170,77 @@ def test_dropout_rate_zero_and_eval_deterministic(rng):
     np.testing.assert_array_equal(out1.data, x.data)
 
 
+@pytest.mark.parametrize("layout", ["packed", "last"])
+def test_dropout_draws_only_the_kept_entries_of_the_full_draw(layout):
+    """The mask at ``at`` is the full draw's, bitwise, and the generator ends
+    where the full draw leaves it. ``packed`` is encode's index of left-padded
+    rows of lengths 1, 5, 3 and 0 in a (4, 5) draw, so the draw's tail is
+    skipped; ``last`` is the last-position index."""
+    draw, rate = (4, 5, 3), 0.6
+    if layout == "packed":
+        at = np.nonzero(np.array([[0, 0, 0, 0, 7], [1, 2, 3, 4, 5], [0, 0, 6, 6, 6], [0, 0, 0, 0, 0]]))
+    else:
+        at = (np.arange(4), np.full(4, 4))
+    x = Tensor(np.ones((len(at[0]), 3)))
+    rng, full = nd.seed_stream(5, "drop"), nd.seed_stream(5, "drop")
+    out = nd.dropout(x, rate, True, rng, draw=draw, at=at)
+    expected = full.random(draw)[at] >= rate
+    np.testing.assert_array_equal(out.data != 0, expected)
+    np.testing.assert_array_equal(out.data[expected], 1.0 / (1.0 - rate))
+    assert rng.bit_generator.state == full.bit_generator.state
+    np.testing.assert_array_equal(rng.random(4), full.random(4))
+
+
+def test_dropout_refuses_positions_out_of_order():
+    with pytest.raises(ValueError, match="strictly increase"):
+        nd.dropout(Tensor(np.ones((2, 3))), 0.5, True, nd.seed_stream(1), draw=(2, 4, 3),
+                   at=(np.array([1, 0]), np.array([0, 0])))
+
+
+def test_take_increasing_index_gradient_matches_sorted_path(rng):
+    """An increasing index takes the assignment path; the same positions in
+    shuffled order take the sorted segment sum. The gradients are equal."""
+    rows, cols = np.nonzero(rng.random((4, 6)) > 0.4)
+    upstream = rng.standard_normal((len(rows), 3))
+    perm = rng.permutation(len(rows))
+    grads = []
+    for order in (np.arange(len(rows)), perm):
+        a = Tensor(rng.standard_normal((4, 6, 3)), requires_grad=True)
+        nd.backward(nd.sum_(nd.mul(nd.take(a, (rows[order], cols[order])), upstream[order])))
+        grads.append(a.grad)
+    np.testing.assert_array_equal(grads[0], grads[1])
+    expected = np.zeros((4, 6, 3))
+    expected[rows, cols] = upstream
+    np.testing.assert_array_equal(grads[0], expected)
+
+
+def test_scatter_places_rows_and_gathers_the_gradient(rng):
+    a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    at = (np.array([0, 1, 1]), np.array([2, 0, 2]))
+    out = nd.scatter(a, at, (2, 3, 2))
+    expected = np.zeros((2, 3, 2))
+    expected[at] = a.data
+    np.testing.assert_array_equal(out.data, expected)
+    upstream = rng.standard_normal((2, 3, 2))
+    nd.backward(nd.sum_(nd.mul(out, upstream)))
+    np.testing.assert_array_equal(a.grad, upstream[at])
+    with pytest.raises(ValueError):
+        nd.scatter(a, at, (2, 3, 4))
+
+
+@pytest.mark.parametrize("second_first", [False, True])
+def test_add_hands_one_gradient_to_both_parents(second_first):
+    """``add`` gives its upstream array to both parents; a later contribution
+    to one of them, before or after, must leave the other's gradient alone."""
+    a = Tensor(np.zeros(3), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    parts = [nd.add(a, b), nd.mul(a, 3.0)]
+    loss = nd.sum_(nd.add(*(parts[::-1] if second_first else parts)))
+    nd.backward(loss)
+    np.testing.assert_array_equal(a.grad, np.full(3, 4.0))
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+
+
 def test_embedding_gradient_sums_over_repeated_ids():
     table = Tensor(np.zeros((4, 2)), requires_grad=True)
     ids = np.array([[1, 1], [1, 2]])
@@ -263,7 +334,7 @@ def test_three_layer_perceptron_matches_finite_differences(rng):
 @pytest.mark.parametrize("op_name", [
     "add", "mul", "matmul", "softmax", "layer_norm", "silu", "relu_off_kink",
     "softplus", "mean", "sum_axis", "reshape", "transpose", "concat", "take",
-    "embedding", "conv", "conv_strided", "conv_1x1", "conv_odd_strided", "upsample",
+    "scatter", "embedding", "conv", "conv_strided", "conv_1x1", "conv_odd_strided", "upsample",
     "attention",
 ])
 def test_every_op_passes_randomized_fd(op_name, rng):
@@ -294,6 +365,7 @@ def test_every_op_passes_randomized_fd(op_name, rng):
         "transpose": (lambda: nd.transpose(a, (1, 0)), [a]),
         "concat": (lambda: nd.concat([a, b], axis=1), [a, b]),
         "take": (lambda: nd.take(a, (slice(None), 2)), [a]),
+        "scatter": (lambda: nd.scatter(a, (np.array([2, 0, 1]), np.array([1, 3, 3])), (3, 5, 4)), [a]),
         "embedding": (lambda: nd.embedding(table, ids), [table]),
         "conv": (lambda: nd.conv2d(img, kern, padding=1), [img, kern]),
         "conv_strided": (lambda: nd.conv2d(img, kern, stride=2, padding=1), [img, kern]),

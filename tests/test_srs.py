@@ -64,54 +64,72 @@ def test_relabeling_equivariance(rng):
 
 
 def _first_block_states(model, ids):
-    """The first block's output at every position: ``encode`` keeps only the
-    last one, so causality is read one block down, at full width."""
+    """The first block's output at every position of the (B, L) grid, zero at
+    padding: ``encode`` keeps only the last one, so causality is read one block
+    down, on the packed layout ``encode`` gives the blocks."""
+    at = np.nonzero(ids)
     with nd.no_grad():
-        h = nd.embedding(model.item_emb, ids)
-        return model.blocks[0](h, model._masks(ids), model.config.dropout, False, None,
-                               model.config.max_len).data
+        h = model.blocks[0](nd.embedding(model.item_emb, ids[at]), at, model._masks(ids),
+                            lambda x, at: x)
+    out = np.zeros(ids.shape + (model.config.embed_dim,))
+    out[at] = h.data
+    return out
 
 
 def test_causal_mask_padding_slot_does_not_affect_hidden_states(rng):
+    """A row's states do not depend on the padding in front of it, whether the
+    row stands alone or beside a longer row."""
     model = tiny_model(max_len=6)
-    # padded by hand: pad_batch trims a lone row to its own length
-    ids_a = np.array([[0, 0, 0, 7, 8, 9]], dtype=np.int64)
-    ids_b = ids_a.copy()
-    # perturb a padding slot's id path by comparing hidden states for a
-    # history extended on the left: earlier positions must not change
-    h_a = _first_block_states(model, ids_a)
-    ids_b[0, 2] = 5  # the slot just left of the real items
-    h_b = _first_block_states(model, ids_b)
-    # positions strictly before the perturbed slot are bitwise unchanged
-    np.testing.assert_array_equal(h_a[0, :2], h_b[0, :2])
+    alone = _first_block_states(model, np.array([[7, 8, 9]]))
+    padded = _first_block_states(model, np.array([[0, 0, 0, 7, 8, 9]]))
+    beside = _first_block_states(model, model.pad_batch([[1, 2, 3, 4, 5], [7, 8, 9]]))
+    np.testing.assert_array_equal(padded[0, :3], 0.0)
+    np.testing.assert_allclose(padded[0, 3:], alone[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(beside[1, 2:], alone[0], rtol=0, atol=1e-12)
 
 
 def test_causality_perturbing_position_k_leaves_earlier_states_unchanged(rng):
     model = tiny_model(max_len=5)
-    ids = model.pad_batch([[1, 2, 3, 4, 5]])
+    ids = model.pad_batch([[1, 2, 3, 4, 5], [6, 7]])
     base = _first_block_states(model, ids)
     for k in range(5):
         mod = ids.copy()
         mod[0, k] = (mod[0, k] % 10) + 1
         out = _first_block_states(model, mod)
         np.testing.assert_array_equal(base[0, :k], out[0, :k])
+        np.testing.assert_array_equal(base[1], out[1])
 
 
 def _full_width_encode(model):
-    """``encode`` with every block at all L positions, then ``final_norm``,
-    then the last row: the reference the last-position final block must match."""
+    """``encode`` on the padded (B, L) layout: every block at all L positions,
+    padding included, then ``final_norm`` and the last row. Dropout draws its
+    (B, max_len, d) mask in full and keeps the last L positions. This is the
+    reference the packed trunk and its last-position final block must match."""
     cfg = model.config
+
+    def block_at_full_width(block, h, mask, drop):
+        a = block.norm1(h)
+        a = nd.scaled_dot_attention(block.q(a), block.k(a), block.v(a), mask=mask)
+        h = nd.add(h, drop(a))
+        f = block.ffn2(nd.relu(block.ffn1(block.norm2(h))))
+        return nd.add(h, drop(f))
 
     def encode(ids=None, emb_seq=None, pad_rows=None, train=False, rng=None):
         if emb_seq is None:
             pad_rows, emb_seq = ids, nd.embedding(model.item_emb, ids)
-        L = pad_rows.shape[1]
+        b, L = pad_rows.shape
+
+        def drop(x):
+            if not train or cfg.dropout == 0.0:
+                return x
+            u = rng.random((b, cfg.max_len, cfg.embed_dim))[:, cfg.max_len - L:]
+            return nd.mul(x, ((u >= cfg.dropout) / (1.0 - cfg.dropout)).astype(x.dtype))
+
         h = nd.mul(emb_seq, float(np.sqrt(cfg.embed_dim)))
-        h = nd.add(h, nd.take(model.pos_emb, np.arange(cfg.max_len - L, cfg.max_len)))
-        h = nd.dropout(h, cfg.dropout, train, rng, draw_len=cfg.max_len)
+        h = drop(nd.add(h, nd.take(model.pos_emb, np.arange(cfg.max_len - L, cfg.max_len))))
         mask = model._masks(pad_rows)
         for block in model.blocks:
-            h = block(h, mask, cfg.dropout, train, rng, cfg.max_len, last=False)
+            h = block_at_full_width(block, h, mask, drop)
         return nd.take(model.final_norm(h), (slice(None), -1))
 
     return encode
@@ -119,11 +137,12 @@ def _full_width_encode(model):
 
 @pytest.mark.parametrize("blocks", [1, 2])
 def test_last_position_final_block_matches_full_width(monkeypatch, blocks):
-    """States, loss, every parameter gradient and score_embedded's input
-    gradient match the full-width reference over two consecutive dropout
-    batches drawn from one generator."""
-    batches = [[([3], 2, [7]), ([1, 4, 2], 5, [8]), ([5, 6, 7, 8, 9], 10, [1])],
-               [([2, 9], 4, [3]), ([7, 1, 1, 6, 2, 8, 3], 3, [2])]]
+    """The packed trunk matches the full-width reference: states, loss, every
+    parameter gradient and score_embedded's input gradient, over two
+    consecutive dropout batches drawn from one generator. Rows run from one
+    item to more than max_len."""
+    batches = [[([3], 2, [7]), ([1, 4, 2, 9, 6, 5], 5, [8]), (list(range(1, 11)) * 2, 10, [1])],
+               [([2, 9], 4, [3]), ([7], 3, [2]), ([7, 1, 1, 6, 2, 8, 3, 5, 4, 9, 2, 8, 1, 3], 6, [5])]]
     x = np.random.default_rng(4).standard_normal((2, 4, 16))
 
     def outputs(model):
@@ -140,16 +159,25 @@ def test_last_position_final_block_matches_full_width(monkeypatch, blocks):
         emb = Tensor(x.copy(), requires_grad=True)
         nd.backward(nd.mean(model.score_embedded(emb)))
         out["input grad"] = emb.grad
+        out["next draw"] = np.r_[states_rng.random(3), loss_rng.random(3)]
         return out
 
     with nd.precision("float64"):
         model = tiny_model(num_items=10, d=16, blocks=blocks, max_len=12, dropout=0.6)
-        last = outputs(model)
+        packed = outputs(model)
         monkeypatch.setattr(model, "encode", _full_width_encode(model))
         full = outputs(model)
-    assert last.keys() == full.keys()
-    for name in last:
-        np.testing.assert_allclose(last[name], full[name], rtol=0, atol=1e-12, err_msg=name)
+    assert packed.keys() == full.keys()
+    for name in packed:
+        np.testing.assert_allclose(packed[name], full[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_encode_refuses_a_row_whose_last_slot_is_padding():
+    model = tiny_model()
+    with pytest.raises(ValueError, match="last slot"):
+        model.encode(ids=np.array([[1, 2, 3], [4, 5, 0]]))
+    with pytest.raises(ValueError, match="last slot"):
+        model.encode(emb_seq=Tensor(np.zeros((1, 2, 16))), pad_rows=np.array([[1, 0]]))
 
 
 def _pad_to_max_len(model, sequences):
@@ -202,14 +230,15 @@ def test_trimmed_batch_matches_full_width_with_dropout(monkeypatch):
 
 
 def test_embedding_matrix_path_matches_id_path_exactly(rng):
-    model = tiny_model(num_items=8, d=16, max_len=3)
-    items = [2, 5, 7]
-    ids = model.pad_batch([items])
+    model = tiny_model(num_items=8, d=16, max_len=5)
+    seqs = [[2, 5, 7], [4], [1, 3, 6, 8, 2]]
+    ids = model.pad_batch(seqs)
+    assert (ids == 0).any()
     with nd.no_grad():
         looked_up = nd.embedding(model.item_emb, ids)
         via_emb = model.logits_all(model.encode(emb_seq=looked_up,
                                                 pad_rows=ids)).data
-    via_ids = model.score_sequences([items])
+    via_ids = model.score_sequences(seqs)
     np.testing.assert_array_equal(via_emb, via_ids)
 
 
