@@ -85,6 +85,9 @@ class RunConfig:
         if self.strategy == "diffusion_cg" and self.srs_embed_dim != self.embed_dim:
             problems.append("diffusion_cg feeds generated states into the classifier: "
                             f"srs_embed_dim ({self.srs_embed_dim}) must equal embed_dim ({self.embed_dim})")
+        if self.strategy == "diffusion_cg" and self.M > self.srs_max_len:
+            problems.append(f"diffusion_cg scores the M generated states: M ({self.M}) must be "
+                            f"<= srs_max_len ({self.srs_max_len})")
         if not (0.0 <= self.p_uncond < 1.0):
             problems.append(f"p_uncond must be in [0, 1), got {self.p_uncond}")
         if not (0.0 <= self.srs_dropout < 1.0):

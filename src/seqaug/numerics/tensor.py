@@ -418,41 +418,15 @@ def embedding(table, ids):
     return take(table, np.asarray(ids))
 
 
-def _random_at(rng, draw, at):
-    """``rng.random(draw)[at]``: one ``random`` call per run of consecutive positions,
-    and ``advance`` over the gaps and past the end."""
-    flat = _flat_index(at, draw)
-    if np.any(flat[1:] <= flat[:-1]):
-        raise ValueError("dropout positions `at` must strictly increase in row-major order")
-    width = int(np.prod(draw[len(at):]))
-    new_run = np.diff(flat, prepend=-2) != 1
-    run_end = np.diff(flat, append=flat[-1:] + 2) != 1
-    starts, stops = flat[new_run] * width, (flat[run_end] + 1) * width
-    parts, pos = [np.empty(0)], 0
-    for start, stop in zip(starts.tolist(), stops.tolist()):
-        rng.bit_generator.advance(start - pos)
-        parts.append(rng.random(stop - start))
-        pos = stop
-    rng.bit_generator.advance(int(np.prod(draw)) - pos)
-    return np.concatenate(parts).reshape(flat.shape + draw[len(at):])
-
-
-def dropout(a, rate, train, rng, draw=None, at=None):
-    """Inverted dropout. rate=0 or train=False is the identity.
-
-    The mask is ``rng.random(a.shape) >= rate``, or with ``draw``, ``rng.random(draw)[at]
-    >= rate``: ``at`` places ``a``'s rows in a larger layout (integer arrays over
-    ``draw``'s leading axes, strictly increasing in row-major order), so a packed batch
-    keeps the entries the full layout gives it. Only those are drawn and the rest skipped,
-    leaving ``rng`` where the full draw would; that needs a bit generator that steps once
-    per float64 and has ``advance`` (PCG64, which ``seed_stream`` returns)."""
+def dropout(a, rate, train, rng):
+    """Inverted dropout: the mask is ``rng.random(a.shape) >= rate`` and kept entries
+    scale by ``1 / (1 - rate)``. rate=0 or train=False is the identity."""
     a = as_tensor(a)
     if not train or rate == 0.0:
         return a
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    u = rng.random(a.data.shape) if draw is None else _random_at(rng, draw, at).reshape(a.data.shape)
-    keep = ((u >= rate) / (1.0 - rate)).astype(a.data.dtype)
+    keep = ((rng.random(a.data.shape) >= rate) / (1.0 - rate)).astype(a.data.dtype)
     out_data = a.data * keep
 
     def bwd(g):

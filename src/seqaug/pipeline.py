@@ -210,9 +210,10 @@ def run_evaluate(config, model_dir, data_dir, raw_data_dir, out_dir, target="tes
         model = _load_recommender(model_dir, "evaluate", reverse=False)
         train_ds = load_dataset_dir(data_dir)
         raw_ds = load_dataset_dir(raw_data_dir)
-        if model.config.num_items < raw_ds.num_items:
-            raise ValueError(f"recommender in {model_dir} has num_items={model.config.num_items}, "
-                             f"but the raw data in {raw_data_dir} has num_items={raw_ds.num_items}")
+        for name, path, ds in (("data", data_dir, train_ds), ("raw data", raw_data_dir, raw_ds)):
+            if model.config.num_items < ds.num_items:
+                raise ValueError(f"recommender in {model_dir} has num_items={model.config.num_items}, "
+                                 f"but the {name} in {path} has num_items={ds.num_items}")
         split = leave_one_out_split(train_ds)
         report = evaluate(model, split, raw_ds, negatives=config.eval_negatives,
                           seed=config.seed, k=config.eval_k, target=target)

@@ -44,22 +44,22 @@ class AttnFFNBlock(Module):
 
     def __call__(self, h, at, mask, drop, last=False):
         """The block over the packed real positions ``h`` (N, d); ``at`` = (rows, cols)
-        places them in the (B, L) grid of ``mask``, where attention alone runs, and
-        ``drop(x, at)`` is dropout there. With ``last`` only each row's last position
-        comes out, (B, d); its keys and values read all N."""
+        places them in the (B, L) grid of ``mask``, where attention alone runs; ``drop``
+        is dropout. With ``last`` only each row's last slot (an item) comes out, (B, d);
+        its keys and values read all N."""
         b, L, d = mask.shape[0], mask.shape[-1], h.shape[-1]
         a = self.norm1(h)
         k, v = (nd.scatter(f(a), at, (b, L, d)) for f in (self.k, self.v))
         q_at = at
         if last:
-            ends = np.flatnonzero(np.r_[at[0][1:] != at[0][:-1], True])
-            a, h, at = nd.take(a, ends), nd.take(h, ends), (at[0][ends], at[1][ends])
-            mask, q_at = mask[:, -1:], (at[0], np.zeros(b, dtype=np.int64))
+            ends = np.flatnonzero(at[1] == L - 1)
+            a, h = nd.take(a, ends), nd.take(h, ends)
+            mask, q_at = mask[:, -1:], (np.arange(b), np.zeros(b, dtype=np.int64))
         q = nd.scatter(self.q(a), q_at, (b, mask.shape[1], d))
         a = nd.take(nd.scaled_dot_attention(q, k, v, mask=mask), q_at)
-        h = nd.add(h, drop(a, at))
+        h = nd.add(h, drop(a))
         f = self.ffn2(nd.relu(self.ffn1(self.norm2(h))))
-        return nd.add(h, drop(f, at))
+        return nd.add(h, drop(f))
 
 
 class SrsModel(Module):
@@ -67,10 +67,10 @@ class SrsModel(Module):
     position's hidden state dotted with the (tied) item-embedding table.
     A batch is as wide as its longest row, L <= max_len, and uses the last L
     rows of ``pos_emb``. Only the real positions are encoded, packed; attention
-    runs on the (B, L) grid, where padded keys get zero weight. Dropout keeps the
-    entries a (B, max_len, d) draw gives those positions, so packing and trimming
-    change no result beyond summation order. The last block computes the last
-    position alone (its keys and values read every position)."""
+    runs on the (B, L) grid, where padded keys get zero weight. Each dropout masks
+    the packed (N, d) array it is given, or (B, d) in the last block, so trimming
+    the padding changes no result beyond summation order. The last block computes
+    the last position alone (its keys and values read every position)."""
 
     def __init__(self, config, rng):
         self.config = config
@@ -106,7 +106,8 @@ class SrsModel(Module):
         or run a caller-supplied embedding sequence (B, L, d) through the same
         trunk; the two agree exactly when emb_seq equals the looked-up rows.
         Only the nonzero (real) positions of the ids or ``pad_rows`` are encoded.
-        Rows are left-padded, so a row whose last slot is padding is refused."""
+        Rows are left-padded, so a row whose last slot is padding is refused; rows
+        wider than max_len have no position embeddings and are refused too."""
         if emb_seq is None:
             pad_rows = ids
         elif pad_rows is None:
@@ -114,16 +115,17 @@ class SrsModel(Module):
         if not np.all(pad_rows[:, -1]):
             raise ValueError("every row's last slot must hold an item; rows are left-padded")
         cfg = self.config
-        b, L = pad_rows.shape
+        L = pad_rows.shape[1]
+        if L > cfg.max_len:
+            raise ValueError(f"rows are {L} positions wide, but max_len is {cfg.max_len}")
         at = np.nonzero(pad_rows)
 
-        def drop(x, at):
-            return nd.dropout(x, cfg.dropout, train, rng, draw=(b, cfg.max_len, cfg.embed_dim),
-                              at=(at[0], at[1] + (cfg.max_len - L)))
+        def drop(x):
+            return nd.dropout(x, cfg.dropout, train, rng)
 
         x = nd.embedding(self.item_emb, ids[at]) if emb_seq is None else nd.take(emb_seq, at)
         h = nd.mul(x, float(np.sqrt(cfg.embed_dim)))
-        h = drop(nd.add(h, nd.take(self.pos_emb, at[1] + (cfg.max_len - L))), at)
+        h = drop(nd.add(h, nd.take(self.pos_emb, at[1] + (cfg.max_len - L))))
         mask = self._masks(pad_rows)
         for block in self.blocks:
             h = block(h, at, mask, drop, last=block is self.blocks[-1])

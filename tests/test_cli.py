@@ -150,6 +150,15 @@ def test_config_rejects_levels_the_embedding_side_cannot_halve():
         load_config(None, overrides={"embed_dim": "16", "levels": "4"})
 
 
+def test_config_rejects_classifier_guidance_longer_than_the_recommender():
+    with pytest.raises(ConfigError) as exc:
+        load_config(None, overrides={"strategy": "diffusion_cg", "M": "9", "srs_max_len": "8"})
+    assert exc.value.problems == ["diffusion_cg scores the M generated states: "
+                                  "M (9) must be <= srs_max_len (8)"]
+    # only classifier guidance feeds the generated states to the recommender
+    load_config(None, overrides={"strategy": "diffusion_cf", "M": "9", "srs_max_len": "8"})
+
+
 def test_data_error_exit_code(tmp_path):
     code = run_cli("preprocess", "--input", str(tmp_path / "missing.tsv"),
                    "--out", str(tmp_path / "y"))

@@ -170,31 +170,17 @@ def test_dropout_rate_zero_and_eval_deterministic(rng):
     np.testing.assert_array_equal(out1.data, x.data)
 
 
-@pytest.mark.parametrize("layout", ["packed", "last"])
-def test_dropout_draws_only_the_kept_entries_of_the_full_draw(layout):
-    """The mask at ``at`` is the full draw's, bitwise, and the generator ends
-    where the full draw leaves it. ``packed`` is encode's index of left-padded
-    rows of lengths 1, 5, 3 and 0 in a (4, 5) draw, so the draw's tail is
-    skipped; ``last`` is the last-position index."""
-    draw, rate = (4, 5, 3), 0.6
-    if layout == "packed":
-        at = np.nonzero(np.array([[0, 0, 0, 0, 7], [1, 2, 3, 4, 5], [0, 0, 6, 6, 6], [0, 0, 0, 0, 0]]))
-    else:
-        at = (np.arange(4), np.full(4, 4))
-    x = Tensor(np.ones((len(at[0]), 3)))
-    rng, full = nd.seed_stream(5, "drop"), nd.seed_stream(5, "drop")
-    out = nd.dropout(x, rate, True, rng, draw=draw, at=at)
-    expected = full.random(draw)[at] >= rate
+def test_dropout_mask_is_one_draw_at_the_shape_it_masks():
+    """The mask is ``rng.random(a.shape) >= rate``, bitwise; kept entries scale by
+    1 / (1 - rate), and the generator ends ``a.size`` draws on."""
+    rate = 0.6
+    x = Tensor(np.ones((7, 3)))
+    rng, twin = nd.seed_stream(5, "drop"), nd.seed_stream(5, "drop")
+    out = nd.dropout(x, rate, True, rng)
+    expected = twin.random(x.shape) >= rate
     np.testing.assert_array_equal(out.data != 0, expected)
     np.testing.assert_array_equal(out.data[expected], 1.0 / (1.0 - rate))
-    assert rng.bit_generator.state == full.bit_generator.state
-    np.testing.assert_array_equal(rng.random(4), full.random(4))
-
-
-def test_dropout_refuses_positions_out_of_order():
-    with pytest.raises(ValueError, match="strictly increase"):
-        nd.dropout(Tensor(np.ones((2, 3))), 0.5, True, nd.seed_stream(1), draw=(2, 4, 3),
-                   at=(np.array([1, 0]), np.array([0, 0])))
+    np.testing.assert_array_equal(rng.random(4), twin.random(4))
 
 
 def test_take_increasing_index_gradient_matches_sorted_path(rng):

@@ -135,6 +135,12 @@ def test_evaluate_refuses_a_model_with_a_smaller_catalogue(stages, tmp_path):
                                          f"but the raw data in {re.escape(raw)} has num_items=12"):
         pipeline.run_evaluate(cfg, str(tmp_path / "small-model"), small_raw, raw,
                               str(tmp_path / "report"))
+    # the data it is scored on, not only the raw histories, must fit its item table
+    with pytest.raises(ValueError, match=f"{re.escape(str(tmp_path / 'small-model'))} has num_items=8, "
+                                         f"but the data in {re.escape(raw)} has num_items=12"):
+        pipeline.run_evaluate(cfg, str(tmp_path / "small-model"), raw, small_raw,
+                              str(tmp_path / "report"))
+    assert os.listdir(tmp_path / "report") == []
 
 
 @pytest.mark.parametrize("case", ["srs-as-model", "diffusion-as-classifier",
@@ -174,21 +180,30 @@ def test_cli_refuses_a_checkpoint_of_another_kind(stages, tmp_path, capsys, case
 
 
 @pytest.mark.parametrize("strategy, flag, trained", [("diffusion_cf", "--model", "diffusion_cf"),
-                                                     ("reverse_gen", "--reverse-model", "reverse")])
+                                                     ("reverse_gen", "--reverse-model", "reverse"),
+                                                     ("none", "--model", "backbone")])
 def test_cli_refuses_a_model_built_for_another_catalogue(stages, tmp_path, capsys, strategy, flag,
                                                         trained):
+    """Augment with a diffusion or reverse model, and evaluate a backbone, on data
+    with more items than the model was built for."""
     cfg, raw, models = stages
     wide = replace(cfg, synth_items=30)
     wide_raw = str(tmp_path / "wide")
     pipeline.run_preprocess(wide, pipeline.run_synth(wide, wide_raw), wide_raw)
     num_items = (pipeline.load_dataset_dir(raw).num_items, pipeline.load_dataset_dir(wide_raw).num_items)
     assert num_items[0] < num_items[1]
+    if trained == "backbone":
+        command = ["evaluate", "--raw-data", raw]
+        refusal = (f"recommender in {models[trained]} has num_items={num_items[0]}, "
+                   f"but the data in {wide_raw} has num_items={num_items[1]}")
+    else:
+        command = ["augment"]
+        refusal = (f"{models[trained]} holds a model of {num_items[0]} items, "
+                   f"but the data in {wide_raw} has {num_items[1]} items")
     sizes = [arg for key, value in SIZES.items() for arg in ("--set", f"{key}={value}")]
-    code = main(["augment", *sizes, "--set", f"strategy={strategy}", flag, models[trained],
+    code = main([*command, *sizes, "--set", f"strategy={strategy}", flag, models[trained],
                  "--data", wide_raw, "--out", str(tmp_path / "out")])
-    assert (code, capsys.readouterr().err) == (
-        1, f"error: {models[trained]} holds a model of {num_items[0]} items, "
-           f"but the data in {wide_raw} has {num_items[1]} items\n")
+    assert (code, capsys.readouterr().err) == (1, f"error: {refusal}\n")
     assert os.listdir(tmp_path / "out") == []
 
 

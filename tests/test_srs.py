@@ -70,7 +70,7 @@ def _first_block_states(model, ids):
     at = np.nonzero(ids)
     with nd.no_grad():
         h = model.blocks[0](nd.embedding(model.item_emb, ids[at]), at, model._masks(ids),
-                            lambda x, at: x)
+                            lambda x: x)
     out = np.zeros(ids.shape + (model.config.embed_dim,))
     out[at] = h.data
     return out
@@ -102,9 +102,11 @@ def test_causality_perturbing_position_k_leaves_earlier_states_unchanged(rng):
 
 def _full_width_encode(model):
     """``encode`` on the padded (B, L) layout: every block at all L positions,
-    padding included, then ``final_norm`` and the last row. Dropout draws its
-    (B, max_len, d) mask in full and keeps the last L positions. This is the
-    reference the packed trunk and its last-position final block must match."""
+    padding included, then ``final_norm`` and the last row. Each dropout mask is
+    drawn as the packed trunk draws it, one (N, d) draw over the real positions or
+    one (B, d) draw over the last positions in the final block, and scattered into
+    this layout's own (B, L, d) mask. This is the reference the packed trunk and its
+    last-position final block must match."""
     cfg = model.config
 
     def block_at_full_width(block, h, mask, drop):
@@ -117,19 +119,23 @@ def _full_width_encode(model):
     def encode(ids=None, emb_seq=None, pad_rows=None, train=False, rng=None):
         if emb_seq is None:
             pad_rows, emb_seq = ids, nd.embedding(model.item_emb, ids)
-        b, L = pad_rows.shape
+        L = pad_rows.shape[1]
+        real, last = pad_rows != 0, np.zeros(pad_rows.shape, dtype=bool)
+        last[:, -1] = True
 
-        def drop(x):
+        def drop(x, kept):
             if not train or cfg.dropout == 0.0:
                 return x
-            u = rng.random((b, cfg.max_len, cfg.embed_dim))[:, cfg.max_len - L:]
+            u = np.zeros(x.shape)
+            u[kept] = rng.random((int(kept.sum()), cfg.embed_dim))
             return nd.mul(x, ((u >= cfg.dropout) / (1.0 - cfg.dropout)).astype(x.dtype))
 
         h = nd.mul(emb_seq, float(np.sqrt(cfg.embed_dim)))
-        h = drop(nd.add(h, nd.take(model.pos_emb, np.arange(cfg.max_len - L, cfg.max_len))))
+        h = drop(nd.add(h, nd.take(model.pos_emb, np.arange(cfg.max_len - L, cfg.max_len))), real)
         mask = model._masks(pad_rows)
         for block in model.blocks:
-            h = block_at_full_width(block, h, mask, drop)
+            kept = last if block is model.blocks[-1] else real
+            h = block_at_full_width(block, h, mask, lambda x: drop(x, kept))
         return nd.take(model.final_norm(h), (slice(None), -1))
 
     return encode
@@ -180,6 +186,14 @@ def test_encode_refuses_a_row_whose_last_slot_is_padding():
         model.encode(emb_seq=Tensor(np.zeros((1, 2, 16))), pad_rows=np.array([[1, 0]]))
 
 
+def test_encode_refuses_rows_wider_than_max_len():
+    """``pad_batch`` truncates id rows, but an embedding sequence reaches ``encode``
+    as it is; wider than max_len it would have no position embeddings."""
+    model = tiny_model(max_len=4)
+    with pytest.raises(ValueError, match="6 positions wide, but max_len is 4"):
+        model.score_embedded(Tensor(np.zeros((2, 6, 16))))
+
+
 def _pad_to_max_len(model, sequences):
     """The untrimmed layout: every row left-padded to max_len."""
     L = model.config.max_len
@@ -200,8 +214,8 @@ def test_pad_batch_trims_to_longest_row_capped_at_max_len():
 
 def test_trimmed_batch_matches_full_width_with_dropout(monkeypatch):
     """Trimming a batch to its longest row leaves hidden states, loss and
-    every gradient as at full max_len width, dropout included: the masks are
-    drawn at max_len width, so the generator advances alike."""
+    every gradient as at full max_len width, dropout included: each mask is
+    drawn over the real positions, which padding does not change."""
     model = tiny_model(num_items=10, d=16, blocks=2, max_len=12, dropout=0.6)
     seqs = [[3], [1, 4, 2], [5, 6, 7, 8, 9]]
     trimmed = model.pad_batch(seqs)
