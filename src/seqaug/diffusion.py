@@ -211,6 +211,12 @@ def sample(model, raw_seqs, M, guidance, sched, seed, user_keys=None):
 
     Every user draws x_T and the per-step noise from a private stream keyed
     by (seed, user), so results do not depend on how users are batched.
+
+    The T-step loop runs inside ``nd.frozen_weights()``: the weights do not
+    change during it, so each dense conv lowering's weight matrix is built
+    once per call rather than once per step, and dropped when the call
+    returns, before any optimizer step. The SU-Net's no-grad forward keeps
+    no backward state. The sampled x0 is bitwise what a per-step build gives.
     """
     d = model.config.embed_dim
     keys = user_keys if user_keys is not None else list(range(len(raw_seqs)))
@@ -219,11 +225,12 @@ def sample(model, raw_seqs, M, guidance, sched, seed, user_keys=None):
         c = lead_condition(model, raw_seqs).data
     x = np.stack([r.standard_normal((M, d)) for r in rngs]).astype(nd.default_dtype())
     first_items = [s[0] for s in raw_seqs]
-    for t in range(sched.T, 0, -1):
-        noise = None
-        if t > 1:
-            noise = np.stack([r.standard_normal((M, d)) for r in rngs]).astype(nd.default_dtype())
-        x = reverse_step(model, x, t, c, guidance, sched, noise, first_items)
+    with nd.frozen_weights():
+        for t in range(sched.T, 0, -1):
+            noise = None
+            if t > 1:
+                noise = np.stack([r.standard_normal((M, d)) for r in rngs]).astype(nd.default_dtype())
+            x = reverse_step(model, x, t, c, guidance, sched, noise, first_items)
     return x
 
 

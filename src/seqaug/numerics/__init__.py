@@ -1,6 +1,6 @@
 from .adam import Adam
 from .checkpoint import load_checkpoint, save_checkpoint
-from .conv import conv2d, upsample_nearest2d
+from .conv import conv2d, frozen_weights, upsample_nearest2d
 from .gradcheck import finite_difference_check
 from .module import Conv2d, LayerNorm, Linear, Module, param
 from .rng import seed_stream

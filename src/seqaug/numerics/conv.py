@@ -23,16 +23,48 @@ time, 4 (1x1 on 2x2) 1.4-1.7x, 5.1 (3x3 on 6x6) 1.6-1.9x, 8.5 (3x3 on 8x8)
 2.7-2.8x and 16 (1x1 on 4x4) 4.7-5.2x. 3 lies between the last ratio that
 won and the first that lost. Wider convs move the crossover down: at 48-128
 channels a 4x4 plane ran 1.1-1.7x slower dense.
+
+A 1x1 conv with stride 1 and no padding is a gather whose table is the
+identity (``_plan`` stores ``None`` for it): its im2col matrix is the input
+itself, reshaped to (B*H*W, C), and the same holds for the gradient in
+backward, so no zero row is appended and a contiguous array is not copied.
+It is the gather's GEMM on the same operands, so the bytes are the same.
+
+Inside ``frozen_weights()`` and under ``no_grad``, the dense lowering builds
+``big`` once per weight array and geometry and reuses it for the rest of the
+context. ``diffusion.sample`` opens it around its T-step loop, where the
+weights never change; the matrices die when the context closes, so none
+survives into an optimizer step. A cached entry keeps a reference to the
+weight array it was built from, so that array's id cannot be reused while
+the entry lives. With grad enabled, or outside the context, every call
+builds its own matrix.
 """
 
+import contextlib
 import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import tensor
 from .tensor import ShapeError, _accum, _make, as_tensor
 
 _DENSE_RATIO = 3
+# the open frozen_weights() context's dense matrices, or None outside one
+_FROZEN = None
+
+
+@contextlib.contextmanager
+def frozen_weights():
+    """A context whose caller writes no weight array until it closes. Under
+    ``no_grad`` inside it, conv2d's dense lowering builds each weight array's
+    matrix once and reuses it; closing the context drops every matrix it built."""
+    global _FROZEN
+    outer, _FROZEN = _FROZEN, {}
+    try:
+        yield
+    finally:
+        _FROZEN = outer
 
 
 @functools.lru_cache(maxsize=32)
@@ -42,7 +74,8 @@ def _plan(h, w, kh, kw, stride, padding):
     (K, n) one-hot ``fold`` sums the n taps onto K; or ``("gather", fwd, bwd)``, where
     ``fwd[q, k]`` is the input pixel output pixel q reads through tap k, ``bwd[p, k]``
     the output pixel whose tap k reads input pixel p, and one past the last pixel is
-    the zero row."""
+    the zero row. An identity ``fwd`` (1x1, stride 1, no padding) is stored as
+    ``None``, and so is its ``bwd``, which is the identity too."""
     plane = np.pad(np.arange(h * w).reshape(h, w), padding, constant_values=h * w)
     fwd = sliding_window_view(plane, (kh, kw))[::stride, ::stride].reshape(-1, kh * kw)
     q, k = np.nonzero(fwd < h * w)
@@ -50,17 +83,41 @@ def _plan(h, w, kh, kw, stride, padding):
         fold = np.zeros((kh * kw, len(q)), dtype=np.float32)
         fold[k, np.arange(len(q))] = 1.0
         plan = ("dense", fwd[q, k], q, k, fold)
+    elif (kh, kw, stride, padding) == (1, 1, 1, 0):
+        plan = ("gather", None, None)
     else:
         bwd = np.full((h * w, kh * kw), len(fwd))
         bwd[fwd[q, k], k] = q
         plan = ("gather", fwd, bwd)
     for table in plan[1:]:
-        table.flags.writeable = False
+        if table is not None:
+            table.flags.writeable = False
     return plan
 
 
 def _gather(a, table):
+    """The (B*rows, taps*C) im2col matrix of the (B, pixels, C) ``a``; a ``None``
+    table is the identity, so ``a`` itself, contiguous as a gather's copy is."""
+    if table is None:
+        return np.ascontiguousarray(a).reshape(-1, a.shape[-1])
     return np.concatenate((a, np.zeros_like(a[:, :1])), axis=1).take(table, axis=1).reshape(len(a) * len(table), -1)
+
+
+def _dense_matrix(w, geometry, p, q, k, pixels, out_pixels):
+    """The (pixels*C, out_pixels*O) matrix holding the taps of ``w`` (KH, KW, C, O)
+    at the blocks (``p``, ``q``) of ``geometry``'s plan; under no_grad inside
+    ``frozen_weights()``, built once per weight array and geometry."""
+    key = (id(w), geometry)
+    cached = _FROZEN is not None and not tensor._GRAD_ENABLED
+    if cached and key in _FROZEN:
+        return _FROZEN[key][1]
+    kh, kw, c, o = w.shape
+    big = np.zeros((pixels, c, out_pixels, o), dtype=w.dtype)
+    big[p, :, q] = w.reshape(kh * kw, c, o)[k]
+    big = big.reshape(pixels * c, out_pixels * o)
+    if cached:
+        _FROZEN[key] = (w, big)
+    return big
 
 
 def conv2d(x, w, b=None, stride=1, padding=0):
@@ -77,7 +134,8 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, kernel {w.data.shape}")
 
-    lowering, *tables = _plan(h, wd, kh, kw, stride, padding)
+    geometry = (h, wd, kh, kw, stride, padding)
+    lowering, *tables = _plan(*geometry)
     if lowering == "gather":
         fwd, bwd_table = tables
         col = _gather(x.data.reshape(bs, h * wd, c), fwd)
@@ -91,9 +149,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             return dcol @ w.data.transpose(0, 1, 3, 2).reshape(kh * kw * o, c)
     else:
         p, q, k, fold = tables
-        big = np.zeros((h * wd, c, oh * ow, o), dtype=w.data.dtype)
-        big[p, :, q] = w.data.reshape(kh * kw, c, o)[k]
-        big = big.reshape(h * wd * c, oh * ow * o)
+        big = _dense_matrix(w.data, geometry, p, q, k, h * wd, oh * ow)
         flat = x.data.reshape(bs, h * wd * c)
         out_data = flat @ big
 

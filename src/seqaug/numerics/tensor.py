@@ -99,8 +99,12 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _builds_graph(parents):
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward, op):
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _builds_graph(parents):
         return Tensor(data, requires_grad=True, parents=parents, backward=backward, op=op)
     return Tensor(data, op=op)
 
@@ -200,7 +204,16 @@ def mul(a, b):
 
 
 def silu(a):
+    """a * sigmoid(a). With no graph to build, the same ufuncs run in the same order
+    in one buffer, so the output is bitwise the graph path's."""
     a = as_tensor(a)
+    if not _builds_graph((a,)):
+        out_data = np.negative(a.data)
+        np.exp(out_data, out=out_data)
+        np.add(out_data, 1.0, out=out_data)
+        np.divide(1.0, out_data, out=out_data)
+        np.multiply(a.data, out_data, out=out_data)
+        return Tensor(out_data, op="silu")
     s = 1.0 / (1.0 + np.exp(-a.data))
     out_data = a.data * s
 
@@ -389,7 +402,8 @@ def softmax(a, axis=-1):
 
 def layer_norm(a, gain, bias):
     """Normalize over the last axis (eps 1e-5) with learned gain/bias (fused primitive).
-    Normalizes one copy of the input in place; ``einsum`` sums make no product temporaries."""
+    Normalizes one copy of the input in place; ``einsum`` sums make no product temporaries.
+    With no graph to build, gain and then bias are applied into that copy too."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     n = a.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
@@ -397,6 +411,10 @@ def layer_norm(a, gain, bias):
     xhat = a.data - np.einsum("...i->...", a.data)[..., None] / n
     inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / n + 1e-5)
     xhat *= inv
+    if not _builds_graph((a, gain, bias)) and gain.data.dtype == bias.data.dtype == xhat.dtype:
+        xhat *= gain.data
+        xhat += bias.data
+        return Tensor(xhat, op="layer_norm")
     out_data = xhat * gain.data + bias.data
 
     def bwd(g):

@@ -194,6 +194,10 @@ def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=No
             if m is not None and m.item_emb.shape[0] - 1 != ds.num_items:
                 raise ValueError(f"{model_dir} holds a model of {m.item_emb.shape[0] - 1} items, "
                                  f"but the data in {data_dir} has {ds.num_items} items")
+        # the classifier scores the M sampled positions as one row
+        if classifier is not None and classifier.config.max_len < config.M:
+            raise ValueError(f"recommender in {classifier_dir} has max_len={classifier.config.max_len}, "
+                             f"but --classifier must score rows of M={config.M} items")
         augmented = aug_mod.augment_dataset(ds, config, model=model, reverse_model=reverse_model,
                                             classifier=classifier)
         aug_mod.emit(augmented, out_dir, item_vocab=ds.item_vocab or None)

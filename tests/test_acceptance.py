@@ -328,10 +328,11 @@ def test_08_downstream_longtail_uplift(env, diffusion_runs):
     uplift = means["diffusion_cf"] - means["none"]
     vs_random_seq = means["diffusion_cf"] - means["random_seq"]
     ok = uplift > 0 and vs_random_seq >= 0
+    per_seed = ", ".join(f"{seed}: {hr:.4f}" for seed, hr in short_hr["diffusion_cf"].items())
     detail = (f"short-group HR@10 means over seeds {SEEDS}: none {means['none']:.4f}, "
               f"random_seq {means['random_seq']:.4f}, diffusion_cf {means['diffusion_cf']:.4f} "
               f"(uplift {uplift:+.4f}, vs random_seq {vs_random_seq:+.4f}); "
-              f"per-seed cf {short_hr['diffusion_cf']}")
+              f"per-seed cf {{{per_seed}}}")
     check(8, "downstream long-tail uplift", ok, detail, t0)
 
 

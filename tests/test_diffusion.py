@@ -1,10 +1,12 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from seqaug import diffusion as dm
 from seqaug import numerics as nd
 from seqaug.diffusion import GuidanceConfig
-from seqaug.numerics import Tensor, seed_stream
+from seqaug.numerics import Tensor, conv, seed_stream
 from seqaug.schedule import make_schedule
 from seqaug.srs import SrsConfig, SrsModel
 from seqaug.sunet import SUNet, SUNetConfig
@@ -284,6 +286,74 @@ def test_sample_contract_shape_and_determinism(tiny_net, sched):
     np.testing.assert_array_equal(a, b)
     c = dm.sample(tiny_net, raws, 2, cfg, sched, seed=4)
     assert np.abs(a - c).max() > 0
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("embed_dim", [16, 64], ids=["4x4-dense", "8x8-gather"])
+def test_frozen_no_grad_prediction_is_the_graph_prediction(embed_dim, dtype):
+    """Inside ``frozen_weights`` and under no_grad the SU-Net runs cached dense
+    matrices, identity 1x1 skips and graph-free norms and SiLUs; on 4x4 planes
+    its 3x3 convs go dense, on 8x8 they gather."""
+    rng = np.random.default_rng(6)
+    with nd.precision(dtype):
+        cfg = SUNetConfig(channels=2, embed_dim=embed_dim, levels=2, channel_mult=(1, 2),
+                          base_width=4, res_blocks=1)
+        net = SUNet(cfg, num_items=12, rng=seed_stream(0, "frozen"))
+        x = rng.standard_normal((3, 2, embed_dim)).astype(dtype)
+        c = rng.standard_normal((3, embed_dim)).astype(dtype)
+        graph = net.predict_noise(x, 4, c)
+        assert graph.requires_grad
+        with nd.no_grad(), nd.frozen_weights():
+            steps = [net.predict_noise(x, 4, c).data for _ in range(2)]
+    for out in steps:
+        assert out.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(out, graph.data)
+
+
+def test_sample_builds_each_dense_conv_matrix_once(tiny_net, sched, monkeypatch):
+    frozen, held = nd.frozen_weights, []
+
+    @contextlib.contextmanager
+    def spy():
+        with frozen():
+            yield
+            held.append(len(conv._FROZEN))
+
+    monkeypatch.setattr(nd, "frozen_weights", spy)
+    dm.sample(tiny_net, [[1, 2, 3], [4, 5]], 2, GuidanceConfig("diffusion_cf", 1.0), sched, seed=7)
+    # one context around all T steps, holding one matrix per dense conv: 14 of the
+    # net's 17 convs, its three 1x1 skips being identity gathers
+    assert held == [14]
+
+
+def test_sampling_after_an_optimizer_step_uses_the_updated_weights(tiny_net, sched):
+    raws = [[1, 2, 3], [4, 5]]
+    cfg = GuidanceConfig("diffusion_cf", 1.0)
+    before = dm.sample(tiny_net, raws, 2, cfg, sched, seed=7)
+    opt = nd.Adam(list(tiny_net.parameters().values()), lr=0.05)
+    nd.backward(dm.training_loss(tiny_net, np.array([[1, 2], [3, 4]]), raws, sched,
+                                 np.random.default_rng(0)))
+    opt.step()
+    after = dm.sample(tiny_net, raws, 2, cfg, sched, seed=7)
+    fresh = SUNet(tiny_net.config, tiny_net.num_items, seed_stream(9, "fresh"))
+    fresh.load_state_arrays(tiny_net.state_arrays())
+    assert np.abs(after - before).max() > 1e-6
+    np.testing.assert_array_equal(after, dm.sample(fresh, raws, 2, cfg, sched, seed=7))
+
+
+def test_classifier_guided_step_inside_frozen_weights_matches_outside(tiny_net, sched):
+    """The scorer's input gradient builds a graph inside the context."""
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((2, 2, 16))
+    c = rng.standard_normal((2, 16))
+    noise = rng.standard_normal((2, 2, 16))
+    classifier = SrsModel(SrsConfig(num_items=12, embed_dim=16, blocks=1, max_len=4,
+                                    dropout=0.0), seed_stream(1, "clf"))
+    cfg = GuidanceConfig("diffusion_cg", 2.0, classifier=classifier)
+    outside = dm.reverse_step(tiny_net, x, 3, c, cfg, sched, noise, raw_first_items=[3, 4])
+    with nd.frozen_weights():
+        inside = dm.reverse_step(tiny_net, x, 3, c, cfg, sched, noise, raw_first_items=[3, 4])
+    np.testing.assert_array_equal(inside, outside)
 
 
 def test_sampling_with_sigma_forced_zero_is_deterministic_function_of_xt(tiny_net):

@@ -122,6 +122,78 @@ def test_conv2d_lowering_of_each_sunet_geometry(monkeypatch):
     assert _lowering(8, 8, 3, 1, 1) == _lowering(8, 8, 3, 2, 1) == "gather"
 
 
+def test_identity_gather_is_the_input_itself(rng):
+    """A 1x1 conv with stride 1 and no padding stores no tables; its im2col matrix
+    equals the generic gather through an identity table, byte for byte."""
+    assert conv._plan(4, 4, 1, 1, 1, 0) == ("gather", None, None)
+    a = rng.standard_normal((3, 16, 5))
+    np.testing.assert_array_equal(conv._gather(a, None), conv._gather(a, np.arange(16)[:, None]))
+    strided = a[:, :, ::2]
+    assert conv._gather(strided, None).flags.c_contiguous
+
+
+# (h, w, k, stride, padding) of each lowering
+LOWERINGS = {"dense": (4, 4, 3, 1, 1), "gather": (8, 8, 3, 1, 1), "identity": (4, 4, 1, 1, 0)}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("lowering", LOWERINGS)
+def test_conv2d_frozen_no_grad_forward_is_the_graph_forward(lowering, dtype, rng):
+    h, w, k, s, p = LOWERINGS[lowering]
+    with nd.precision(dtype):
+        x = nd.Tensor(rng.standard_normal((3, h, w, 5)).astype(dtype))
+        kern = nd.param(rng.standard_normal((k, k, 5, 7)))
+        bias = nd.param(rng.standard_normal(7))
+        graph = nd.conv2d(x, kern, bias, stride=s, padding=p)
+        assert graph.requires_grad
+        with nd.no_grad(), nd.frozen_weights():
+            first = nd.conv2d(x, kern, bias, stride=s, padding=p)
+            again = nd.conv2d(x, kern, bias, stride=s, padding=p)
+    assert first.data.dtype == np.dtype(dtype)
+    np.testing.assert_array_equal(first.data, graph.data)
+    np.testing.assert_array_equal(again.data, graph.data)
+
+
+def test_frozen_weights_builds_each_dense_matrix_once_and_drops_it_on_exit(rng):
+    x = rng.standard_normal((2, 4, 4, 3))
+    kern = nd.param(rng.standard_normal((3, 3, 3, 4)))
+    built = []
+    with nd.frozen_weights():
+        nd.conv2d(x, kern, padding=1)
+        assert conv._FROZEN == {}  # grad enabled: no matrix is kept
+        with nd.no_grad():
+            for _ in range(3):
+                nd.conv2d(x, kern, padding=1)
+                built.append(next(iter(conv._FROZEN.values()))[1])
+            nd.conv2d(x[:, :2, :2], kern, padding=1)  # another geometry, another matrix
+        assert len(conv._FROZEN) == 2
+    assert conv._FROZEN is None
+    assert built[0] is built[1] is built[2]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_layer_norm_and_silu_without_a_graph_match_the_graph_path(dtype, rng):
+    with nd.precision(dtype):
+        x = nd.param(rng.standard_normal((3, 4, 4, 6)) * 2.0 + 0.5)
+        gain = nd.param(rng.standard_normal(6))
+        bias = nd.param(rng.standard_normal(6))
+        graph_norm = nd.layer_norm(x, gain, bias)
+        graph_silu = nd.silu(x)
+        assert graph_norm.requires_grad and graph_silu.requires_grad
+        with nd.no_grad():
+            norm, act = nd.layer_norm(x, gain, bias), nd.silu(x)
+        # with grad on but no operand needing one, no graph is built either
+        plain = nd.Tensor(x.data.copy())
+        plain_norm = nd.layer_norm(plain, gain.data, bias.data)
+    for out in (norm, plain_norm):
+        assert out.data.dtype == np.dtype(dtype) and out._backward is None
+        np.testing.assert_array_equal(out.data, graph_norm.data)
+    assert act._backward is None
+    np.testing.assert_array_equal(act.data, graph_silu.data)
+    np.testing.assert_array_equal(nd.silu(plain).data, graph_silu.data)
+    np.testing.assert_array_equal(plain.data, x.data)
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 3, 5), (2, 4, 6)], ids=["sunet_bhwc", "srs_bld"])
 def test_layer_norm_matches_textbook_formula(shape, rng):
     n = shape[-1]

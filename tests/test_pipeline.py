@@ -117,6 +117,18 @@ def test_classifier_guidance_refuses_a_reverse_model(stages, tmp_path):
                              classifier_dir=models["reverse"])
 
 
+def test_classifier_guidance_refuses_a_classifier_narrower_than_M(stages, tmp_path):
+    cfg, raw, models = stages
+    narrow = str(tmp_path / "narrow")
+    pipeline.run_train_srs(replace(cfg, srs_embed_dim=16, srs_max_len=1), raw, narrow, role="classifier")
+    guided = replace(cfg, strategy="diffusion_cg", srs_embed_dim=16).validate()
+    with pytest.raises(ValueError, match=f"recommender in {re.escape(narrow)} has max_len=1, "
+                                         "but --classifier must score rows of M=2 items"):
+        pipeline.run_augment(guided, raw, str(tmp_path / "aug"), diffusion_dir=models["diffusion_cg"],
+                             classifier_dir=narrow)
+    assert os.listdir(tmp_path / "aug") == []
+
+
 def test_evaluate_refuses_a_reverse_model(stages, tmp_path):
     cfg, raw, models = stages
     with pytest.raises(ValueError, match=f"{re.escape(models['reverse'])} has role='reverse', "
