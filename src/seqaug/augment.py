@@ -90,13 +90,14 @@ def augment_dataset(ds, config, model=None, reverse_model=None, classifier=None)
     elif config.strategy != "none":
         if model is None:
             raise ValueError(f"{config.strategy} needs a trained diffusion model")
+        if config.strategy == "diffusion_cg" and classifier is None:
+            raise ValueError("diffusion_cg needs a pretrained classifier model")
         sched = config.schedule()
-        guidance = diffusion.GuidanceConfig(config.strategy, config.gamma, classifier)
         for start in range(0, len(targets), config.sample_batch):
             chunk = targets[start:start + config.sample_batch]
             raws = [_conditioning_sequence(ds.users[u], config.exclude_test) for u in chunk]
-            x0_hat = diffusion.sample(model, raws, config.M, guidance, sched,
-                                      seed=config.seed, user_keys=chunk)
+            x0_hat = diffusion.sample(model, raws, config.M, config.gamma, sched, seed=config.seed,
+                                      user_keys=chunk, classifier=classifier)
             if not np.isfinite(x0_hat).all():
                 raise FloatingPointError(f"augment: {config.strategy} sampled a non-finite value "
                                          f"in the chunk starting at user {chunk[0]}")

@@ -83,8 +83,9 @@ def build_parser():
     p = sub.add_parser("sweep", help="fan out full pipeline runs over M or gamma")
     _add_common(p)
     p.add_argument("--data", required=True, help="preprocess output directory")
-    p.add_argument("--M", help="comma-separated augment counts, e.g. 4,6,8")
-    p.add_argument("--gamma", help="comma-separated guidance scales")
+    axis = p.add_mutually_exclusive_group()
+    axis.add_argument("--M", help="comma-separated augment counts, e.g. 4,6,8")
+    axis.add_argument("--gamma", help="comma-separated guidance scales")
     p.add_argument("--seeds", help="comma-separated run seeds (default: config seed)")
     return parser
 

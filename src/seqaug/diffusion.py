@@ -5,29 +5,10 @@ Sampling works on plain arrays under no_grad; the only graph built during
 generation is the scorer input-gradient needed by classifier guidance.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numerics as nd
 from .numerics import Tensor, seed_stream
-
-
-@dataclass
-class GuidanceConfig:
-    """``diffusion_cf`` or ``diffusion_cg``; gamma = 0 is the conditional prediction."""
-
-    strategy: str = "diffusion_cf"
-    gamma: float = 0.0
-    classifier: object = None  # pretrained SrsModel, required for diffusion_cg
-
-    def __post_init__(self):
-        if self.strategy not in ("diffusion_cf", "diffusion_cg"):
-            raise ValueError(f"unknown guidance strategy {self.strategy!r}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.strategy == "diffusion_cg" and self.classifier is None:
-            raise ValueError("diffusion_cg needs a pretrained classifier model")
 
 
 def forward_sample(x0, t, eps, sched):
@@ -73,11 +54,15 @@ def iterated_forward(x0, t, sched, rng):
 # training loss
 
 
-def condition_batch(model, raw_seqs, uncond_mask=None):
-    """Stacked preference means (B, d): the order-free mean of each raw
-    sequence's embeddings, with rows flagged in ``uncond_mask`` replaced by
-    the padding vector (the unconditional branch). ``lead_condition`` builds
-    the SU-Net's condition on it."""
+# the form of the condition vector, recorded in each diffusion checkpoint's meta
+CONDITION = "mean+lead"
+
+
+def lead_condition(model, raw_seqs, uncond_mask=None):
+    """The SU-Net's condition (B, d): each raw sequence's order-free mean
+    embedding plus the embedding of its first ("lead") item, the item the
+    generated prefix must lead into. Rows flagged in ``uncond_mask`` are
+    exactly the padding vector (the unconditional branch)."""
     width = max(len(s) for s in raw_seqs)
     ids = np.zeros((len(raw_seqs), width), dtype=np.int64)
     weights = np.zeros((len(raw_seqs), width, 1), dtype=nd.default_dtype())
@@ -87,28 +72,13 @@ def condition_batch(model, raw_seqs, uncond_mask=None):
         ids[i, :len(seq)] = seq
         weights[i, :len(seq), 0] = 1.0 / len(seq)
     c = nd.sum_(nd.mul(nd.embedding(model.item_emb, ids), weights), axis=1)
+    lead = nd.embedding(model.item_emb, ids[:, 0])
     if uncond_mask is not None and uncond_mask.any():
         pad = nd.embedding(model.item_emb, np.zeros(len(raw_seqs), dtype=np.int64))
         keep = (~uncond_mask).astype(c.dtype)[:, None]
         drop = uncond_mask.astype(c.dtype)[:, None]
         c = nd.add(nd.mul(c, keep), nd.mul(pad, drop))
-    return c
-
-
-# the form of the condition vector, recorded in each diffusion checkpoint's meta
-CONDITION = "mean+lead"
-
-
-def lead_condition(model, raw_seqs, uncond_mask=None):
-    """The SU-Net's condition (B, d): the preference mean of
-    ``condition_batch`` plus the embedding of each sequence's first ("lead")
-    item, the item the generated prefix must lead into. Rows flagged in
-    ``uncond_mask`` get no lead term, so they stay exactly the padding
-    vector."""
-    c = condition_batch(model, raw_seqs, uncond_mask)
-    lead = nd.embedding(model.item_emb, np.array([s[0] for s in raw_seqs], dtype=np.int64))
-    if uncond_mask is not None and uncond_mask.any():
-        lead = nd.mul(lead, (~uncond_mask).astype(lead.dtype)[:, None])
+        lead = nd.mul(lead, keep)
     return nd.add(c, lead)
 
 
@@ -155,37 +125,38 @@ def scorer_input_gradient(classifier, x_t, first_items):
     return xt.grad
 
 
-def guide_noise(model, x_t, t, c, guidance, sched, raw_first_items=None):
+def guide_noise(model, x_t, t, c, gamma, sched, classifier=None, raw_first_items=None):
     """Guided noise estimate for one reverse step; returns an array shaped
     like x_t.
 
-    diffusion_cf extrapolates conditional vs padding-conditioned
-    predictions, eps_cond + gamma * (eps_cond - eps_uncond). diffusion_cg
-    shifts the conditional prediction by -gamma * sqrt(1 - ab_t) times the
-    scorer's input-gradient of log p(first real item | generated state).
-    gamma = 0 reduces both to the conditional prediction bitwise.
+    With no ``classifier`` (classifier-free guidance) the conditional and
+    padding-conditioned predictions are extrapolated, eps_cond + gamma *
+    (eps_cond - eps_uncond). With a pretrained ``classifier`` (classifier
+    guidance) the conditional prediction shifts by -gamma * sqrt(1 - ab_t)
+    times the scorer's input-gradient of log p(first real item | generated
+    state). gamma = 0 reduces both to the conditional prediction bitwise.
     """
     c_data = c.data if isinstance(c, Tensor) else np.asarray(c)
     b = x_t.shape[0]
     with nd.no_grad():
-        if guidance.strategy == "diffusion_cf" and guidance.gamma != 0.0:
+        if classifier is None and gamma != 0.0:
             pad = model.item_emb.data[0]
             both_c = np.concatenate([c_data, np.broadcast_to(pad, c_data.shape)], axis=0)
             both_x = np.concatenate([x_t, x_t], axis=0)
             out = model.predict_noise(both_x, t, both_c).data
             eps_cond, eps_uncond = out[:b], out[b:]
-            return eps_cond + guidance.gamma * (eps_cond - eps_uncond)
+            return eps_cond + gamma * (eps_cond - eps_uncond)
         eps_cond = model.predict_noise(x_t, t, c_data).data
-    if guidance.strategy == "diffusion_cg" and guidance.gamma != 0.0:
+    if classifier is not None and gamma != 0.0:
         if raw_first_items is None:
-            raise ValueError("diffusion_cg needs the first item of each raw sequence")
-        grad = scorer_input_gradient(guidance.classifier, x_t, raw_first_items)
-        scale = guidance.gamma * float(np.sqrt(1.0 - sched.alpha_bar[t - 1]))
+            raise ValueError("classifier guidance needs the first item of each raw sequence")
+        grad = scorer_input_gradient(classifier, x_t, raw_first_items)
+        scale = gamma * float(np.sqrt(1.0 - sched.alpha_bar[t - 1]))
         return eps_cond - scale * grad
     return eps_cond
 
 
-def reverse_step(model, x_t, t, c, guidance, sched, noise, raw_first_items=None):
+def reverse_step(model, x_t, t, c, gamma, sched, noise, classifier=None, raw_first_items=None):
     """One ancestral step x_t -> x_{t-1}.
 
     mean = (x_t - beta_t / sqrt(1 - ab_t) * eps_hat) / sqrt(alpha_t); at
@@ -194,7 +165,7 @@ def reverse_step(model, x_t, t, c, guidance, sched, noise, raw_first_items=None)
     """
     if not 1 <= t <= sched.T:
         raise ValueError(f"t={t} out of range [1, {sched.T}]")
-    eps_hat = guide_noise(model, x_t, t, c, guidance, sched, raw_first_items)
+    eps_hat = guide_noise(model, x_t, t, c, gamma, sched, classifier, raw_first_items)
     beta = float(sched.beta[t - 1])
     coeff = beta / float(np.sqrt(1.0 - sched.alpha_bar[t - 1]))
     mean = (x_t - coeff * eps_hat) / float(np.sqrt(sched.alpha[t - 1]))
@@ -204,10 +175,11 @@ def reverse_step(model, x_t, t, c, guidance, sched, noise, raw_first_items=None)
     return mean + sigma * noise
 
 
-def sample(model, raw_seqs, M, guidance, sched, seed, user_keys=None):
+def sample(model, raw_seqs, M, gamma, sched, seed, user_keys=None, classifier=None):
     """Generate x0-hat (B, M, d) for a batch of users from pure noise,
     conditioned on each raw sequence's preference mean plus its lead item
-    (``lead_condition``), the condition the model was trained on.
+    (``lead_condition``), the condition the model was trained on; with no
+    ``classifier`` the guide is classifier-free, else classifier guidance.
 
     Every user draws x_T and the per-step noise from a private stream keyed
     by (seed, user), so results do not depend on how users are batched.
@@ -230,7 +202,7 @@ def sample(model, raw_seqs, M, guidance, sched, seed, user_keys=None):
             noise = None
             if t > 1:
                 noise = np.stack([r.standard_normal((M, d)) for r in rngs]).astype(nd.default_dtype())
-            x = reverse_step(model, x, t, c, guidance, sched, noise, first_items)
+            x = reverse_step(model, x, t, c, gamma, sched, noise, classifier, first_items)
     return x
 
 

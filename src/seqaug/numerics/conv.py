@@ -185,7 +185,8 @@ def upsample_nearest2d(x, scale=2):
     if x.ndim != 4:
         raise ShapeError(f"upsample_nearest2d expects 4-d input, got {x.data.shape}")
     bs, h, w, c = x.data.shape
-    out_data = x.data.repeat(scale, axis=1).repeat(scale, axis=2)
+    out_data = np.broadcast_to(x.data[:, :, None, :, None, :],
+                               (bs, h, scale, w, scale, c)).reshape(bs, h * scale, w * scale, c)
 
     def bwd(g):
         _accum(x, g.reshape(bs, h, scale, w, scale, c).sum(axis=(2, 4)))

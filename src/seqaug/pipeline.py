@@ -218,6 +218,10 @@ def run_evaluate(config, model_dir, data_dir, raw_data_dir, out_dir, target="tes
             if model.config.num_items < ds.num_items:
                 raise ValueError(f"recommender in {model_dir} has num_items={model.config.num_items}, "
                                  f"but the {name} in {path} has num_items={ds.num_items}")
+        missing = len(train_ds.users.keys() - raw_ds.users.keys())
+        if missing:
+            raise ValueError(f"the raw data in {raw_data_dir} lacks {missing} of the "
+                             f"{len(train_ds.users)} users in {data_dir}")
         split = leave_one_out_split(train_ds)
         report = evaluate(model, split, raw_ds, negatives=config.eval_negatives,
                           seed=config.seed, k=config.eval_k, target=target)
@@ -225,16 +229,11 @@ def run_evaluate(config, model_dir, data_dir, raw_data_dir, out_dir, target="tes
     return report
 
 
-def run_pipeline_once(config, raw_dir, work_dir, strategy=None, seed=None):
+def run_pipeline_once(cfg, raw_dir, work_dir):
     """preprocess-output -> (train-diffusion) -> augment -> train-srs -> evaluate.
 
     Returns the EvalReport. ``raw_dir`` must already contain the canonical
     sequence files (from run_preprocess)."""
-    from dataclasses import replace
-    cfg = config
-    if strategy is not None or seed is not None:
-        cfg = replace(config, **({"strategy": strategy} if strategy is not None else {}),
-                      **({"seed": seed} if seed is not None else {}))
     work = os.path.join(work_dir, f"{cfg.strategy}-seed{cfg.seed}")
 
     aug_dir = os.path.join(work, "augmented")

@@ -20,7 +20,6 @@ from seqaug import pipeline, srs
 from seqaug.config import load_config
 from seqaug.dataset import (InteractionDataset, build_diffusion_training_set,
                             leave_one_out_split)
-from seqaug.diffusion import GuidanceConfig
 from seqaug.evaluation import evaluate, rank_metrics, sample_eval_negatives
 from seqaug.numerics import Tensor, seed_stream
 from seqaug.schedule import make_schedule, sigma2_at
@@ -77,13 +76,12 @@ def _sample_augmentations(env, model, gamma, seed):
     sequence minus its test item."""
     acfg = pipeline._augment_config(replace(env.cfg, seed=seed, gamma=gamma))
     sched = acfg.schedule()
-    guidance = GuidanceConfig("diffusion_cf", gamma)
     users = list(env.ds.users.keys())
     out = {}
     for start in range(0, len(users), acfg.sample_batch):
         chunk = users[start:start + acfg.sample_batch]
         raws = [env.ds.users[u][:-1] for u in chunk]
-        x = dm.sample(model, raws, acfg.M, guidance, sched, seed=seed, user_keys=chunk)
+        x = dm.sample(model, raws, acfg.M, gamma, sched, seed=seed, user_keys=chunk)
         ids, _ = dm.round_to_items(x, model.item_emb.data, forbid_padding=True)
         for i, u in enumerate(chunk):
             out[u] = [int(v) for v in ids[i]]
@@ -181,7 +179,7 @@ def test_04_guidance_algebra():
     with nd.no_grad():
         cond = net.predict_noise(x, 4, c).data
 
-    cf_zero = dm.guide_noise(net, x, 4, c, GuidanceConfig("diffusion_cf", 0.0), sched)
+    cf_zero = dm.guide_noise(net, x, 4, c, 0.0, sched)
     bitwise = np.array_equal(cf_zero, cond)
 
     fixed = rng.standard_normal((1, 2, 16))
@@ -194,16 +192,13 @@ def test_04_guidance_algebra():
             return nd.as_tensor(np.broadcast_to(fixed, (np.shape(x_t)[0], 2, 16)).copy())
 
     invariant = all(
-        np.array_equal(dm.guide_noise(Stub(), x, 4, c,
-                                      GuidanceConfig("diffusion_cf", g), sched),
+        np.array_equal(dm.guide_noise(Stub(), x, 4, c, g, sched),
                        np.broadcast_to(fixed, (2, 2, 16)))
         for g in (0.0, 0.1, 1.0, 10.0, 100.0))
 
     phi = SrsModel(SrsConfig(num_items=10, embed_dim=16, blocks=1, max_len=4, dropout=0.0),
                    seed_stream(2, "accept-clf"))
-    cg_zero = dm.guide_noise(net, x, 4, c,
-                             GuidanceConfig("diffusion_cg", 0.0, classifier=phi),
-                             sched, raw_first_items=[1, 2])
+    cg_zero = dm.guide_noise(net, x, 4, c, 0.0, sched, classifier=phi, raw_first_items=[1, 2])
     cg_ok = np.array_equal(cg_zero, cond)
     ok = bitwise and invariant and cg_ok
     check(4, "guidance algebra", ok,

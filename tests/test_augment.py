@@ -229,6 +229,13 @@ def test_diffusion_strategy_requires_model(chain_ds):
         augment_dataset(chain_ds, small_config(strategy="diffusion_cf"))
 
 
+def test_classifier_guidance_requires_a_classifier(chain_ds):
+    cfg = small_config(strategy="diffusion_cg", diff_epochs=1)
+    model, _ = train_augmentor(chain_ds, cfg)
+    with pytest.raises(ValueError, match="diffusion_cg needs a pretrained classifier model"):
+        augment_dataset(chain_ds, cfg, model=model)
+
+
 def test_diffusion_cf_end_to_end_contract(chain_ds):
     cfg = small_config(diff_epochs=2)
     model, _ = train_augmentor(chain_ds, cfg)

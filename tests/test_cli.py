@@ -173,6 +173,15 @@ def test_augment_without_model_fails_cleanly(tmp_path):
     assert code == 1
 
 
+def test_sweep_refuses_m_together_with_gamma(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("sweep", "--data", str(tmp_path), "--out", str(tmp_path / "s"),
+                "--M", "2", "--gamma", "0.5,5")
+    assert exit_.value.code == 2
+    assert "argument --gamma: not allowed with argument --M" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_pipeline_random_strategy_roundtrip(tmp_path):
     data = tmp_path / "data"
     run_cli("synth", "--users", "25", "--items", "12", "--seed", "4", "--out", str(data))

@@ -5,7 +5,6 @@ import pytest
 
 from seqaug import diffusion as dm
 from seqaug import numerics as nd
-from seqaug.diffusion import GuidanceConfig
 from seqaug.numerics import Tensor, conv, seed_stream
 from seqaug.schedule import make_schedule
 from seqaug.srs import SrsConfig, SrsModel
@@ -145,7 +144,7 @@ def test_diffusion_cf_gamma_zero_is_conditional_bitwise(tiny_net, sched):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 2, 16))
     c = rng.standard_normal((2, 16))
-    guided = dm.guide_noise(tiny_net, x, 3, c, GuidanceConfig("diffusion_cf", 0.0), sched)
+    guided = dm.guide_noise(tiny_net, x, 3, c, 0.0, sched)
     with nd.no_grad():
         cond = tiny_net.predict_noise(x, 3, c).data
     np.testing.assert_array_equal(guided, cond)
@@ -158,7 +157,7 @@ def test_diffusion_cf_identical_outputs_gamma_invariant(sched):
     x = rng.standard_normal((2, 2, 16))
     c = rng.standard_normal((2, 16))
     for gamma in (0.0, 0.1, 1.0, 10.0, 100.0):
-        out = dm.guide_noise(stub, x, 2, c, GuidanceConfig("diffusion_cf", gamma), sched)
+        out = dm.guide_noise(stub, x, 2, c, gamma, sched)
         np.testing.assert_array_equal(out, np.broadcast_to(fixed, (2, 2, 16)))
 
 
@@ -176,7 +175,7 @@ def test_diffusion_cf_scalarized_arithmetic(sched):
     stub = CondStub(16, None)
     x = np.zeros((1, 2, 16))
     c = np.ones((1, 16))
-    out = dm.guide_noise(stub, x, 2, c, GuidanceConfig("diffusion_cf", 1.0), sched)
+    out = dm.guide_noise(stub, x, 2, c, 1.0, sched)
     np.testing.assert_allclose(out, np.full((1, 2, 16), 1.5), atol=1e-12)
 
 
@@ -186,8 +185,7 @@ def test_diffusion_cg_gamma_zero_is_unguided(tiny_net, sched):
     c = rng.standard_normal((2, 16))
     classifier = SrsModel(SrsConfig(num_items=12, embed_dim=16, blocks=1, max_len=4,
                                     dropout=0.0), seed_stream(1, "clf"))
-    cfg = GuidanceConfig("diffusion_cg", 0.0, classifier=classifier)
-    out = dm.guide_noise(tiny_net, x, 3, c, cfg, sched, raw_first_items=[1, 2])
+    out = dm.guide_noise(tiny_net, x, 3, c, 0.0, sched, classifier=classifier, raw_first_items=[1, 2])
     with nd.no_grad():
         cond = tiny_net.predict_noise(x, 3, c).data
     np.testing.assert_array_equal(out, cond)
@@ -200,17 +198,11 @@ def test_diffusion_cg_shifts_along_scorer_gradient(tiny_net, sched):
     classifier = SrsModel(SrsConfig(num_items=12, embed_dim=16, blocks=1, max_len=4,
                                     dropout=0.0), seed_stream(1, "clf"))
     grad = dm.scorer_input_gradient(classifier, x, [3, 4])
-    cfg = GuidanceConfig("diffusion_cg", 2.0, classifier=classifier)
-    out = dm.guide_noise(tiny_net, x, 3, c, cfg, sched, raw_first_items=[3, 4])
+    out = dm.guide_noise(tiny_net, x, 3, c, 2.0, sched, classifier=classifier, raw_first_items=[3, 4])
     with nd.no_grad():
         cond = tiny_net.predict_noise(x, 3, c).data
     expected = cond - 2.0 * np.sqrt(1 - sched.alpha_bar[2]) * grad
     np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
-
-
-def test_diffusion_cg_requires_classifier():
-    with pytest.raises(ValueError, match="classifier"):
-        GuidanceConfig("diffusion_cg", 1.0)
 
 
 def test_scorer_input_gradient_matches_finite_differences():
@@ -243,7 +235,7 @@ def test_reverse_step_formula_reduction(tiny_net, sched):
     # eps_hat == 0 and sigma == 0 collapses to x / sqrt(alpha_t)
     stub = StubPredictor(16, lambda x: np.zeros_like(x))
     x = np.ones((1, 2, 16))
-    out = dm.reverse_step(stub, x, 1, np.zeros((1, 16)), GuidanceConfig(), sched, None)
+    out = dm.reverse_step(stub, x, 1, np.zeros((1, 16)), 0.0, sched, None)
     np.testing.assert_allclose(out, x / np.sqrt(sched.alpha[0]), atol=1e-12)
 
 
@@ -253,7 +245,7 @@ def test_reverse_step_scalar_hand_formula():
     object.__setattr__(sched, "alpha_bar", np.array([0.9, 0.5]))
     stub = StubPredictor(16, lambda x: np.full_like(x, 0.2))
     x = np.ones((1, 2, 16))
-    out = dm.reverse_step(stub, x, 2, np.zeros((1, 16)), GuidanceConfig(), sched,
+    out = dm.reverse_step(stub, x, 2, np.zeros((1, 16)), 0.0, sched,
                           np.zeros((1, 2, 16)))
     # hand evaluation of the mean formula: (1/sqrt(0.96)) * (1 - 0.04/sqrt(0.5) * 0.2)
     expected = (1.0 - (0.04 / np.sqrt(0.5)) * 0.2) / np.sqrt(0.96)
@@ -264,27 +256,25 @@ def test_reverse_step_scalar_hand_formula():
 def test_reverse_step_t_range(sched, tiny_net):
     with pytest.raises(ValueError):
         dm.reverse_step(tiny_net, np.zeros((1, 2, 16)), 0, np.zeros((1, 16)),
-                        GuidanceConfig(), sched, None)
+                        0.0, sched, None)
 
 
 def test_batched_vs_per_row_sampling_bitwise(tiny_net, sched):
     """Per-user noise streams make results independent of batch composition."""
     raws = [[1, 2, 3], [4, 5], [6, 7, 8, 9]]
-    cfg = GuidanceConfig("diffusion_cf", 1.0)
-    full = dm.sample(tiny_net, raws, 2, cfg, sched, seed=11, user_keys=[10, 20, 30])
-    rows = [dm.sample(tiny_net, [raws[i]], 2, cfg, sched, seed=11, user_keys=[k])
+    full = dm.sample(tiny_net, raws, 2, 1.0, sched, seed=11, user_keys=[10, 20, 30])
+    rows = [dm.sample(tiny_net, [raws[i]], 2, 1.0, sched, seed=11, user_keys=[k])
             for i, k in enumerate([10, 20, 30])]
     np.testing.assert_array_equal(full, np.concatenate(rows, axis=0))
 
 
 def test_sample_contract_shape_and_determinism(tiny_net, sched):
     raws = [[1, 2], [3, 4, 5]]
-    cfg = GuidanceConfig()
-    a = dm.sample(tiny_net, raws, 2, cfg, sched, seed=3)
-    b = dm.sample(tiny_net, raws, 2, cfg, sched, seed=3)
+    a = dm.sample(tiny_net, raws, 2, 0.0, sched, seed=3)
+    b = dm.sample(tiny_net, raws, 2, 0.0, sched, seed=3)
     assert a.shape == (2, 2, 16)
     np.testing.assert_array_equal(a, b)
-    c = dm.sample(tiny_net, raws, 2, cfg, sched, seed=4)
+    c = dm.sample(tiny_net, raws, 2, 0.0, sched, seed=4)
     assert np.abs(a - c).max() > 0
 
 
@@ -320,7 +310,7 @@ def test_sample_builds_each_dense_conv_matrix_once(tiny_net, sched, monkeypatch)
             held.append(len(conv._FROZEN))
 
     monkeypatch.setattr(nd, "frozen_weights", spy)
-    dm.sample(tiny_net, [[1, 2, 3], [4, 5]], 2, GuidanceConfig("diffusion_cf", 1.0), sched, seed=7)
+    dm.sample(tiny_net, [[1, 2, 3], [4, 5]], 2, 1.0, sched, seed=7)
     # one context around all T steps, holding one matrix per dense conv: 14 of the
     # net's 17 convs, its three 1x1 skips being identity gathers
     assert held == [14]
@@ -328,17 +318,16 @@ def test_sample_builds_each_dense_conv_matrix_once(tiny_net, sched, monkeypatch)
 
 def test_sampling_after_an_optimizer_step_uses_the_updated_weights(tiny_net, sched):
     raws = [[1, 2, 3], [4, 5]]
-    cfg = GuidanceConfig("diffusion_cf", 1.0)
-    before = dm.sample(tiny_net, raws, 2, cfg, sched, seed=7)
+    before = dm.sample(tiny_net, raws, 2, 1.0, sched, seed=7)
     opt = nd.Adam(list(tiny_net.parameters().values()), lr=0.05)
     nd.backward(dm.training_loss(tiny_net, np.array([[1, 2], [3, 4]]), raws, sched,
                                  np.random.default_rng(0)))
     opt.step()
-    after = dm.sample(tiny_net, raws, 2, cfg, sched, seed=7)
+    after = dm.sample(tiny_net, raws, 2, 1.0, sched, seed=7)
     fresh = SUNet(tiny_net.config, tiny_net.num_items, seed_stream(9, "fresh"))
     fresh.load_state_arrays(tiny_net.state_arrays())
     assert np.abs(after - before).max() > 1e-6
-    np.testing.assert_array_equal(after, dm.sample(fresh, raws, 2, cfg, sched, seed=7))
+    np.testing.assert_array_equal(after, dm.sample(fresh, raws, 2, 1.0, sched, seed=7))
 
 
 def test_classifier_guided_step_inside_frozen_weights_matches_outside(tiny_net, sched):
@@ -349,10 +338,9 @@ def test_classifier_guided_step_inside_frozen_weights_matches_outside(tiny_net, 
     noise = rng.standard_normal((2, 2, 16))
     classifier = SrsModel(SrsConfig(num_items=12, embed_dim=16, blocks=1, max_len=4,
                                     dropout=0.0), seed_stream(1, "clf"))
-    cfg = GuidanceConfig("diffusion_cg", 2.0, classifier=classifier)
-    outside = dm.reverse_step(tiny_net, x, 3, c, cfg, sched, noise, raw_first_items=[3, 4])
+    outside = dm.reverse_step(tiny_net, x, 3, c, 2.0, sched, noise, classifier, [3, 4])
     with nd.frozen_weights():
-        inside = dm.reverse_step(tiny_net, x, 3, c, cfg, sched, noise, raw_first_items=[3, 4])
+        inside = dm.reverse_step(tiny_net, x, 3, c, 2.0, sched, noise, classifier, [3, 4])
     np.testing.assert_array_equal(inside, outside)
 
 
@@ -360,8 +348,8 @@ def test_sampling_with_sigma_forced_zero_is_deterministic_function_of_xt(tiny_ne
     sched = make_schedule("linear", 5, 0.05, 0.2)
     object.__setattr__(sched, "sigma2", np.zeros(5))
     raws = [[1, 2]]
-    a = dm.sample(tiny_net, raws, 2, GuidanceConfig(), sched, seed=5)
-    b = dm.sample(tiny_net, raws, 2, GuidanceConfig(), sched, seed=5)
+    a = dm.sample(tiny_net, raws, 2, 0.0, sched, seed=5)
+    b = dm.sample(tiny_net, raws, 2, 0.0, sched, seed=5)
     np.testing.assert_array_equal(a, b)
 
 

@@ -234,6 +234,15 @@ def test_upsample_then_shapes():
     assert up.data[0, 0, 0, 0] == up.data[0, 1, 1, 0] == x.data[0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scale", [2, 3])
+def test_upsample_is_the_two_repeat_copy_bitwise(rng, dtype, scale):
+    x = rng.standard_normal((3, 2, 4, 5)).astype(dtype)
+    up = nd.upsample_nearest2d(Tensor(x), scale).data
+    assert up.dtype == np.dtype(dtype) and up.flags.c_contiguous
+    assert up.tobytes() == x.repeat(scale, axis=1).repeat(scale, axis=2).tobytes()
+
+
 def test_dropout_rate_zero_and_eval_deterministic(rng):
     x = Tensor(rng.standard_normal((4, 4)))
     out0 = nd.dropout(x, 0.0, True, rng)

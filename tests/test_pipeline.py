@@ -155,6 +155,18 @@ def test_evaluate_refuses_a_model_with_a_smaller_catalogue(stages, tmp_path):
     assert os.listdir(tmp_path / "report") == []
 
 
+def test_evaluate_refuses_raw_data_without_a_trained_user(stages, tmp_path, capsys):
+    cfg, raw, models = stages
+    few = replace(cfg, synth_users=20)
+    few_raw = str(tmp_path / "few")
+    pipeline.run_preprocess(few, pipeline.run_synth(few, few_raw), few_raw)
+    sizes = [arg for key, value in SIZES.items() for arg in ("--set", f"{key}={value}")]
+    code = main(["evaluate", *sizes, "--model", models["backbone"], "--data", raw,
+                 "--raw-data", few_raw, "--out", str(tmp_path / "report")])
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: the raw data in {few_raw} lacks 10 of the 30 users in {raw}\n")
+
+
 @pytest.mark.parametrize("case", ["srs-as-model", "diffusion-as-classifier",
                                   "diffusion-as-evaluated", "diffusion-without-config",
                                   "diffusion-without-condition"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqaug import numerics as nd
-from seqaug.diffusion import condition_batch, lead_condition
+from seqaug.diffusion import lead_condition
 from seqaug.numerics import Tensor, seed_stream
 from seqaug.numerics.checkpoint import load_checkpoint
 from seqaug.sunet import SUNet, SUNetConfig, sinusoidal_step_embedding
@@ -62,27 +62,27 @@ def with_table(table):
     return SimpleNamespace(item_emb=Tensor(table))
 
 
-def test_condition_batch_is_mean():
-    c = condition_batch(with_table(np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])), [[1, 2]])
-    np.testing.assert_allclose(c.data, [[2.0, 2.0]])
+def test_lead_condition_adds_the_lead_row_to_the_mean():
+    c = lead_condition(with_table(np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])), [[1, 2]])
+    np.testing.assert_allclose(c.data, [[2.0 + 1.0, 2.0 + 1.0]])
 
 
-def test_condition_batch_single_item_identity():
+def test_lead_condition_of_a_single_item_is_twice_its_row():
     table = np.arange(8.0).reshape(4, 2)
-    c = condition_batch(with_table(table), [[3]])
-    np.testing.assert_array_equal(c.data, table[3:4])
+    c = lead_condition(with_table(table), [[3]])
+    np.testing.assert_array_equal(c.data, 2.0 * table[3:4])
 
 
-def test_condition_batch_permutation_invariant(rng):
+def test_lead_condition_ignores_the_order_after_the_lead(rng):
     model = with_table(rng.standard_normal((9, 4)))
     items = [2, 5, 5, 7, 1]
-    c = condition_batch(model, [items, list(reversed(items))])
+    c = lead_condition(model, [items, items[:1] + list(reversed(items[1:]))])
     np.testing.assert_allclose(c.data[0], c.data[1], atol=1e-15)
 
 
-def test_condition_batch_rejects_empty():
-    with pytest.raises(ValueError, match="padding"):
-        condition_batch(with_table(np.zeros((3, 2))), [[]])
+def test_lead_condition_rejects_empty():
+    with pytest.raises(ValueError, match="raw sequence must be nonempty"):
+        lead_condition(with_table(np.zeros((3, 2))), [[]])
 
 
 def test_lead_condition_tells_a_sequence_from_its_reverse(rng):
