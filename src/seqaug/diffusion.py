@@ -63,14 +63,13 @@ def lead_condition(model, raw_seqs, uncond_mask=None):
     embedding plus the embedding of its first ("lead") item, the item the
     generated prefix must lead into. Rows flagged in ``uncond_mask`` are
     exactly the padding vector (the unconditional branch)."""
-    width = max(len(s) for s in raw_seqs)
-    ids = np.zeros((len(raw_seqs), width), dtype=np.int64)
-    weights = np.zeros((len(raw_seqs), width, 1), dtype=nd.default_dtype())
-    for i, seq in enumerate(raw_seqs):
-        if len(seq) == 0:
-            raise ValueError("raw sequence must be nonempty; the unconditional branch uses the padding vector")
-        ids[i, :len(seq)] = seq
-        weights[i, :len(seq), 0] = 1.0 / len(seq)
+    lengths = np.array([len(s) for s in raw_seqs])
+    if not lengths.all():
+        raise ValueError("raw sequence must be nonempty; the unconditional branch uses the padding vector")
+    real = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.zeros(real.shape, dtype=np.int64)
+    ids[real] = np.concatenate(raw_seqs)
+    weights = (real / lengths[:, None]).astype(nd.default_dtype())[..., None]
     c = nd.sum_(nd.mul(nd.embedding(model.item_emb, ids), weights), axis=1)
     lead = nd.embedding(model.item_emb, ids[:, 0])
     if uncond_mask is not None and uncond_mask.any():

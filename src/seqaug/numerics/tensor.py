@@ -175,8 +175,10 @@ def add(a, b):
     out_data = a.data + b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), bwd, "add")
 
@@ -186,8 +188,10 @@ def sub(a, b):
     out_data = a.data - b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _make(out_data, (a, b), bwd, "sub")
 
@@ -197,8 +201,10 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), bwd, "mul")
 
@@ -321,7 +327,7 @@ def _flat_index(arrays, shape):
 def take(a, idx):
     """numpy-style indexing by ints and slices, or by an integer array or a tuple of them
     over the leading axes. An array index's gradient is an assignment when its positions
-    strictly increase, else a sorted segment sum, so repeated indices add up."""
+    are distinct, else a sorted segment sum, so repeated indices add up."""
     a = as_tensor(a)
     arrays = idx if isinstance(idx, tuple) else (idx,)
     basic = all(isinstance(i, (int, slice)) for i in arrays)
@@ -340,7 +346,7 @@ def take(a, idx):
             flat = _flat_index(arrays, a.data.shape)
             trail = a.data.shape[len(arrays):]
             rows = g.reshape(len(flat), *trail)
-            if np.any(flat[1:] <= flat[:-1]):
+            if np.bincount(flat).max() > 1:
                 order = np.argsort(flat, kind="stable")
                 flat, rows = flat[order], rows[order]
                 starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
@@ -379,10 +385,10 @@ def matmul(a, b):
     out_data = np.matmul(a.data, b.data)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _make(out_data, (a, b), bwd, "matmul")
 

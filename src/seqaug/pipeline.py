@@ -198,6 +198,10 @@ def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=No
         if classifier is not None and classifier.config.max_len < config.M:
             raise ValueError(f"recommender in {classifier_dir} has max_len={classifier.config.max_len}, "
                              f"but --classifier must score rows of M={config.M} items")
+        if classifier is not None and classifier.config.embed_dim != model.config.embed_dim:
+            raise ValueError(f"recommender in {classifier_dir} has embed_dim={classifier.config.embed_dim}, "
+                             f"but --classifier must score the diffusion model's embed_dim="
+                             f"{model.config.embed_dim} states")
         augmented = aug_mod.augment_dataset(ds, config, model=model, reverse_model=reverse_model,
                                             classifier=classifier)
         aug_mod.emit(augmented, out_dir, item_vocab=ds.item_vocab or None)

@@ -9,7 +9,8 @@ Training uses the sequence-to-one scheme: every prefix of a user's train
 items yields one (input, next-item) example, scored with a binary
 cross-entropy over the positive logit plus sampled negative logits. Callers
 read only the last position, so the final block computes that one alone.
-Only the real positions of the left-padded rows are encoded, packed.
+Only the real positions of the left-padded rows are encoded, packed; attention
+runs on slices as wide as the longest row, each holding several whole rows.
 """
 
 from dataclasses import dataclass
@@ -42,35 +43,86 @@ class AttnFFNBlock(Module):
         self.ffn1 = Linear(d, d, rng)
         self.ffn2 = Linear(d, d, rng)
 
-    def __call__(self, h, at, mask, drop, last=False):
-        """The block over the packed real positions ``h`` (N, d); ``at`` = (rows, cols)
-        places them in the (B, L) grid of ``mask``, where attention alone runs; ``drop``
-        is dropout. With ``last`` only each row's last slot (an item) comes out, (B, d);
-        its keys and values read all N."""
-        b, L, d = mask.shape[0], mask.shape[-1], h.shape[-1]
+    def __call__(self, h, at, mask, drop, last=None):
+        """The block over the packed real positions ``h`` (N, d); ``at`` = (slices, cols)
+        places them in the (S, W) slices of the block-causal ``mask`` (S, W, W), where
+        attention alone runs; ``drop`` is dropout. With ``last`` = (ends, q_at, q_mask)
+        only each row's last position (packed index ``ends``) comes out, (B, d): its
+        query sits at ``q_at`` in (S, R) and ``q_mask`` (S, R, W) gives its keys, which
+        read all N."""
+        s, w, d = mask.shape[0], mask.shape[-1], h.shape[-1]
         a = self.norm1(h)
-        k, v = (nd.scatter(f(a), at, (b, L, d)) for f in (self.k, self.v))
+        k, v = (nd.scatter(f(a), at, (s, w, d)) for f in (self.k, self.v))
         q_at = at
-        if last:
-            ends = np.flatnonzero(at[1] == L - 1)
+        if last is not None:
+            ends, q_at, mask = last
             a, h = nd.take(a, ends), nd.take(h, ends)
-            mask, q_at = mask[:, -1:], (np.arange(b), np.zeros(b, dtype=np.int64))
-        q = nd.scatter(self.q(a), q_at, (b, mask.shape[1], d))
+        q = nd.scatter(self.q(a), q_at, (s, mask.shape[1], d))
         a = nd.take(nd.scaled_dot_attention(q, k, v, mask=mask), q_at)
         h = nd.add(h, drop(a))
         f = self.ffn2(nd.relu(self.ffn1(self.norm2(h))))
         return nd.add(h, drop(f))
 
 
+def pack_rows(pad_rows):
+    """Pack the real positions of the left-padded ``pad_rows`` (B, W) into S slices of
+    width W: rows go first-fit in decreasing order of length (a stable sort), each left-
+    aligned after the rows already in its slice. Returns ``at`` = (slices, cols) of every
+    real position in ``np.nonzero`` order, the additive (S, W, W) mask in which a
+    position sees itself and the earlier positions of its own row, and ``last`` =
+    (ends, (slices, ranks), (S, R, W) mask): the packed index of each row's last
+    position, where its query sits when the final block groups them by slice, and the
+    keys it sees."""
+    lengths = np.count_nonzero(pad_rows, axis=1)
+    b, w = pad_rows.shape
+    slices, offsets, ranks = [0] * b, [0] * b, [0] * b
+    room, held = [], []
+    lens = lengths.tolist()
+    s = last_n = 0
+    for r in np.argsort(-lengths, kind="stable").tolist():
+        n = lens[r]
+        # the slices before s had no room for the previous row, of this length
+        if n != last_n:
+            s, last_n = 0, n
+        while s < len(room) and room[s] < n:
+            s += 1
+        if s == len(room):
+            room.append(w)
+            held.append(0)
+        slices[r], offsets[r], ranks[r] = s, w - room[s], held[s]
+        room[s] -= n
+        held[s] += 1
+    slices, offsets, ranks = np.array(slices), np.array(offsets), np.array(ranks)
+    row = np.repeat(np.arange(b), lengths)
+    ends = np.cumsum(lengths) - 1
+    cols = offsets[row] + np.arange(len(row)) - (ends - lengths + 1)[row]
+    at = (slices[row], cols)
+    # compared at the smallest integer type that holds w, several times faster than int64;
+    # padding positions start at themselves, and no real query sees them
+    j = np.arange(w, dtype=np.min_scalar_type(w))
+    starts = np.tile(j, (len(room), 1))
+    starts[at] = offsets[row]
+    seen = j >= starts[:, :, None]
+    seen &= j <= j[:, None]
+    dtype = nd.default_dtype()
+    mask = np.full(seen.shape, NEG_INF, dtype=dtype)
+    mask[seen] = 0.0
+    q_mask = np.zeros((len(room), max(held), w), dtype=dtype)
+    q_mask[slices, ranks] = mask[slices, cols[ends]]
+    return at, mask, (ends, (slices, ranks), q_mask)
+
+
 class SrsModel(Module):
     """Attention blocks over left-padded sequences; logits are the last
     position's hidden state dotted with the (tied) item-embedding table.
     A batch is as wide as its longest row, L <= max_len, and uses the last L
-    rows of ``pos_emb``. Only the real positions are encoded, packed; attention
-    runs on the (B, L) grid, where padded keys get zero weight. Each dropout masks
-    the packed (N, d) array it is given, or (B, d) in the last block, so trimming
-    the padding changes no result beyond summation order. The last block computes
-    the last position alone (its keys and values read every position)."""
+    rows of ``pos_emb``. Only the real positions are encoded, packed (N, d).
+    Attention runs on (S, L) slices, each holding whole rows side by side
+    (``pack_rows``); keys of padding and of other rows get exactly zero weight.
+    Each dropout masks the packed (N, d) array it is given, or (B, d) in the last
+    block, so neither trimming nor packing changes a result beyond summation
+    order. The last block computes the last position alone (its keys and values
+    read every position), with each row's query grouped by slice."""
 
     def __init__(self, config, rng):
         self.config = config
@@ -94,18 +146,12 @@ class SrsModel(Module):
             out[i, L - len(seq):] = seq
         return out
 
-    def _masks(self, pad_rows):
-        """Additive (B, L, L) attention mask: a real query sees itself and the
-        real positions before it. Padded queries are never read."""
-        L = pad_rows.shape[1]
-        seen = np.tril(np.ones((L, L), dtype=bool)) & (pad_rows[:, None, :] != 0)
-        return np.where(seen, 0.0, NEG_INF).astype(nd.default_dtype())
-
     def encode(self, ids=None, emb_seq=None, pad_rows=None, train=False, rng=None):
         """The last position's hidden state (B, d). Either look up ``ids`` (B, L)
         or run a caller-supplied embedding sequence (B, L, d) through the same
         trunk; the two agree exactly when emb_seq equals the looked-up rows.
-        Only the nonzero (real) positions of the ids or ``pad_rows`` are encoded.
+        Only the nonzero (real) positions of the ids or ``pad_rows`` are encoded,
+        and attention reads them from the slices ``pack_rows`` packs them into.
         Rows are left-padded, so a row whose last slot is padding is refused; rows
         wider than max_len have no position embeddings and are refused too."""
         if emb_seq is None:
@@ -126,9 +172,9 @@ class SrsModel(Module):
         x = nd.embedding(self.item_emb, ids[at]) if emb_seq is None else nd.take(emb_seq, at)
         h = nd.mul(x, float(np.sqrt(cfg.embed_dim)))
         h = drop(nd.add(h, nd.take(self.pos_emb, at[1] + (cfg.max_len - L))))
-        mask = self._masks(pad_rows)
+        packed_at, mask, last = pack_rows(pad_rows)
         for block in self.blocks:
-            h = block(h, at, mask, drop, last=block is self.blocks[-1])
+            h = block(h, packed_at, mask, drop, last=last if block is self.blocks[-1] else None)
         return self.final_norm(h)
 
     def logits_all(self, last_h):

@@ -7,6 +7,7 @@ import pytest
 from seqaug import numerics as nd
 from seqaug.config import load_config
 from seqaug.numerics import Adam, Tensor, conv
+from seqaug.numerics import tensor as tensor_mod
 from seqaug.sunet import SUNet
 
 
@@ -265,8 +266,8 @@ def test_dropout_mask_is_one_draw_at_the_shape_it_masks():
 
 
 def test_take_increasing_index_gradient_matches_sorted_path(rng):
-    """An increasing index takes the assignment path; the same positions in
-    shuffled order take the sorted segment sum. The gradients are equal."""
+    """Distinct positions take the assignment path, increasing or shuffled; the
+    gradients are equal, and equal to the scatter of the upstream rows."""
     rows, cols = np.nonzero(rng.random((4, 6)) > 0.4)
     upstream = rng.standard_normal((len(rows), 3))
     perm = rng.permutation(len(rows))
@@ -306,6 +307,18 @@ def test_add_hands_one_gradient_to_both_parents(second_first):
     nd.backward(loss)
     np.testing.assert_array_equal(a.grad, np.full(3, 4.0))
     np.testing.assert_array_equal(b.grad, np.ones(3))
+
+
+@pytest.mark.parametrize("op", [nd.add, nd.sub, nd.mul, nd.matmul])
+@pytest.mark.parametrize("param_first", [True, False])
+def test_backward_computes_no_gradient_for_a_constant_operand(monkeypatch, rng, op, param_first):
+    """A binary op's backward computes the gradient of the operand that needs one and
+    nothing for a constant one: one ``_unbroadcast`` call, at the parameter's shape."""
+    shapes, unbroadcast = [], tensor_mod._unbroadcast
+    monkeypatch.setattr(tensor_mod, "_unbroadcast", lambda g, shape: shapes.append(shape) or unbroadcast(g, shape))
+    p, c = Tensor(rng.standard_normal((3, 3)), requires_grad=True), rng.standard_normal((3, 3))
+    nd.backward(nd.sum_(op(p, c) if param_first else op(c, p)))
+    assert shapes == [(3, 3)] and p.grad is not None
 
 
 def test_embedding_gradient_sums_over_repeated_ids():

@@ -129,6 +129,16 @@ def test_classifier_guidance_refuses_a_classifier_narrower_than_M(stages, tmp_pa
     assert os.listdir(tmp_path / "aug") == []
 
 
+def test_classifier_guidance_refuses_a_classifier_of_another_width(stages, tmp_path):
+    cfg, raw, models = stages
+    guided = replace(cfg, strategy="diffusion_cg", srs_embed_dim=16).validate()
+    with pytest.raises(ValueError, match=f"recommender in {re.escape(models['backbone'])} has embed_dim=8, "
+                                         "but --classifier must score the diffusion model's embed_dim=16 states"):
+        pipeline.run_augment(guided, raw, str(tmp_path / "aug"), diffusion_dir=models["diffusion_cg"],
+                             classifier_dir=models["backbone"])
+    assert os.listdir(tmp_path / "aug") == []
+
+
 def test_evaluate_refuses_a_reverse_model(stages, tmp_path):
     cfg, raw, models = stages
     with pytest.raises(ValueError, match=f"{re.escape(models['reverse'])} has role='reverse', "
@@ -229,6 +239,19 @@ def test_cli_refuses_a_model_built_for_another_catalogue(stages, tmp_path, capsy
                  "--data", wide_raw, "--out", str(tmp_path / "out")])
     assert (code, capsys.readouterr().err) == (1, f"error: {refusal}\n")
     assert os.listdir(tmp_path / "out") == []
+
+
+def test_cli_refuses_a_classifier_of_another_width(stages, tmp_path, capsys):
+    """A classifier trained at the config's srs_embed_dim, 8, beside a diffusion model
+    trained at embed_dim 16: the refusal names --classifier and both widths."""
+    _, raw, models = stages
+    sizes = [arg for key, value in SIZES.items() for arg in ("--set", f"{key}={value}")]
+    code = main(["augment", *sizes, "--set", "strategy=diffusion_cg", "--set", "srs_embed_dim=16",
+                 "--set", "gamma=1", "--model", models["diffusion_cg"], "--classifier", models["backbone"],
+                 "--data", raw, "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: recommender in {models['backbone']} has embed_dim=8, but --classifier must "
+           "score the diffusion model's embed_dim=16 states\n")
 
 
 # the files each stage writes beside its manifest.json

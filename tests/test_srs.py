@@ -66,11 +66,11 @@ def test_relabeling_equivariance(rng):
 def _first_block_states(model, ids):
     """The first block's output at every position of the (B, L) grid, zero at
     padding: ``encode`` keeps only the last one, so causality is read one block
-    down, on the packed layout ``encode`` gives the blocks."""
+    down, on the packed slices ``encode`` gives the blocks."""
     at = np.nonzero(ids)
+    packed_at, mask, _ = srs.pack_rows(ids)
     with nd.no_grad():
-        h = model.blocks[0](nd.embedding(model.item_emb, ids[at]), at, model._masks(ids),
-                            lambda x: x)
+        h = model.blocks[0](nd.embedding(model.item_emb, ids[at]), packed_at, mask, lambda x: x)
     out = np.zeros(ids.shape + (model.config.embed_dim,))
     out[at] = h.data
     return out
@@ -132,13 +132,47 @@ def _full_width_encode(model):
 
         h = nd.mul(emb_seq, float(np.sqrt(cfg.embed_dim)))
         h = drop(nd.add(h, nd.take(model.pos_emb, np.arange(cfg.max_len - L, cfg.max_len))), real)
-        mask = model._masks(pad_rows)
+        # a real query sees itself and the real positions before it
+        seen = np.tril(np.ones((L, L), dtype=bool)) & (pad_rows[:, None, :] != 0)
+        mask = np.where(seen, 0.0, -1e9).astype(nd.default_dtype())
         for block in model.blocks:
             kept = last if block is model.blocks[-1] else real
             h = block_at_full_width(block, h, mask, lambda x: drop(x, kept))
         return nd.take(model.final_norm(h), (slice(None), -1))
 
     return encode
+
+
+def _oracle_outputs(model, batches, x):
+    """States, loss and every parameter gradient of each dropout batch in turn, drawn
+    from one generator, then score_embedded's input gradient on ``x``."""
+    states_rng, loss_rng = seed_stream(9, "states"), seed_stream(9, "loss")
+    out = {}
+    for i, batch in enumerate(batches):
+        ids = model.pad_batch([row[0] for row in batch])
+        out[f"states {i}"] = model.encode(ids=ids, train=True, rng=states_rng).data
+        model.zero_grad()
+        loss = srs._batch_loss(model, batch, train=True, rng=loss_rng)
+        nd.backward(loss)
+        out[f"loss {i}"] = loss.data
+        out.update((f"grad {i} {n}", p.grad.copy()) for n, p in model.parameters().items())
+    emb = Tensor(x.copy(), requires_grad=True)
+    nd.backward(nd.mean(model.score_embedded(emb)))
+    out["input grad"] = emb.grad
+    out["next draw"] = np.r_[states_rng.random(3), loss_rng.random(3)]
+    return out
+
+
+def _assert_packed_matches_full_width(monkeypatch, blocks, batches):
+    x = np.random.default_rng(4).standard_normal((2, 4, 16))
+    with nd.precision("float64"):
+        model = tiny_model(num_items=10, d=16, blocks=blocks, max_len=12, dropout=0.6)
+        packed = _oracle_outputs(model, batches, x)
+        monkeypatch.setattr(model, "encode", _full_width_encode(model))
+        full = _oracle_outputs(model, batches, x)
+    assert packed.keys() == full.keys()
+    for name in packed:
+        np.testing.assert_allclose(packed[name], full[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
@@ -149,33 +183,59 @@ def test_last_position_final_block_matches_full_width(monkeypatch, blocks):
     item to more than max_len."""
     batches = [[([3], 2, [7]), ([1, 4, 2, 9, 6, 5], 5, [8]), (list(range(1, 11)) * 2, 10, [1])],
                [([2, 9], 4, [3]), ([7], 3, [2]), ([7, 1, 1, 6, 2, 8, 3, 5, 4, 9, 2, 8, 1, 3], 6, [5])]]
-    x = np.random.default_rng(4).standard_normal((2, 4, 16))
+    _assert_packed_matches_full_width(monkeypatch, blocks, batches)
 
-    def outputs(model):
-        states_rng, loss_rng = seed_stream(9, "states"), seed_stream(9, "loss")
-        out = {}
-        for i, batch in enumerate(batches):
-            ids = model.pad_batch([row[0] for row in batch])
-            out[f"states {i}"] = model.encode(ids=ids, train=True, rng=states_rng).data
-            model.zero_grad()
-            loss = srs._batch_loss(model, batch, train=True, rng=loss_rng)
-            nd.backward(loss)
-            out[f"loss {i}"] = loss.data
-            out.update((f"grad {i} {n}", p.grad.copy()) for n, p in model.parameters().items())
-        emb = Tensor(x.copy(), requires_grad=True)
-        nd.backward(nd.mean(model.score_embedded(emb)))
-        out["input grad"] = emb.grad
-        out["next draw"] = np.r_[states_rng.random(3), loss_rng.random(3)]
-        return out
 
-    with nd.precision("float64"):
-        model = tiny_model(num_items=10, d=16, blocks=blocks, max_len=12, dropout=0.6)
-        packed = outputs(model)
-        monkeypatch.setattr(model, "encode", _full_width_encode(model))
-        full = outputs(model)
-    assert packed.keys() == full.keys()
-    for name in packed:
-        np.testing.assert_allclose(packed[name], full[name], rtol=0, atol=1e-12, err_msg=name)
+def _row_slices(ids):
+    """The slice ``pack_rows`` puts each row of ``ids`` in."""
+    _, _, (_, (slices, _), _) = srs.pack_rows(ids)
+    return slices
+
+
+def test_rows_sharing_a_slice_match_full_width(monkeypatch):
+    """One max-width row and several short ones, which share slices: every
+    state, the loss and every gradient match the full-width reference."""
+    rows = [[4, 2, 7], list(range(1, 11)) + [3, 5], [6], [9, 8, 1, 2, 5], [2, 2], [8, 3, 6, 1]]
+    batch = [(row, 1 + i, [10 - i]) for i, row in enumerate(rows)]
+    assert len(np.unique(_row_slices(tiny_model().pad_batch(rows)))) == 3
+    _assert_packed_matches_full_width(monkeypatch, 2, [batch])
+
+
+def test_editing_a_row_leaves_its_slice_mates_unchanged():
+    """Rows packed into one slice read none of each other's keys: changing an
+    item of one row leaves every other row's first-block states byte-equal."""
+    model = tiny_model(max_len=8)
+    ids = model.pad_batch([[1, 2, 3, 4, 5, 6, 7, 8], [3, 1], [5, 4, 9], [2, 6, 7]])
+    slices = _row_slices(ids)
+    mates = np.flatnonzero(slices == slices[1])
+    assert len(mates) == 3
+    base = _first_block_states(model, ids)
+    for row in mates:
+        for col in np.flatnonzero(ids[row]):
+            edited = ids.copy()
+            edited[row, col] = edited[row, col] % 10 + 1
+            out = _first_block_states(model, edited)
+            assert np.any(out[row] != base[row])
+            others = np.arange(len(ids)) != row
+            np.testing.assert_array_equal(out[others], base[others])
+
+
+def test_a_long_row_does_not_widen_the_short_rows(monkeypatch):
+    """64 rows of length 2 and one of 40 attend in at most ceil(168 / 40) + 1
+    slices of width 40, not in a (65, 40, 40) padded grid."""
+    model = tiny_model(num_items=10, max_len=40)
+    rng = np.random.default_rng(5)
+    seqs = [list(rng.integers(1, 11, size=2)) for _ in range(64)] + [list(rng.integers(1, 11, size=40))]
+    shapes, attend = [], nd.scaled_dot_attention
+
+    def recording(q, k, v, mask=None):
+        shapes.append(k.shape)
+        return attend(q, k, v, mask=mask)
+
+    monkeypatch.setattr(nd, "scaled_dot_attention", recording)
+    model.encode(ids=model.pad_batch(seqs))
+    assert len(shapes) == 1 and shapes[0][1:] == (40, 16)
+    assert shapes[0][0] <= -(-168 // 40) + 1
 
 
 def test_encode_refuses_a_row_whose_last_slot_is_padding():

@@ -85,6 +85,36 @@ def test_lead_condition_rejects_empty():
         lead_condition(with_table(np.zeros((3, 2))), [[]])
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_lead_condition_fills_ids_and_weights_as_a_row_loop_does(monkeypatch, dtype):
+    """The (B, width) ids and mean weights built for 128 ragged rows equal, byte
+    for byte, the arrays a loop over the rows fills."""
+    rng = np.random.default_rng(8)
+    seqs = [rng.integers(1, 12, size=n).tolist() for n in rng.integers(1, 30, size=128)]
+    seen, embedding, mul = {}, nd.embedding, nd.mul
+
+    def recording_embedding(table, ids):
+        seen.setdefault("ids", ids)
+        return embedding(table, ids)
+
+    def recording_mul(a, b):
+        seen.setdefault("weights", b)
+        return mul(a, b)
+
+    monkeypatch.setattr(nd, "embedding", recording_embedding)
+    monkeypatch.setattr(nd, "mul", recording_mul)
+    with nd.precision(dtype):
+        lead_condition(with_table(rng.standard_normal((12, 4))), seqs)
+        ids = np.zeros((128, max(map(len, seqs))), dtype=np.int64)
+        weights = np.zeros(ids.shape + (1,), dtype=nd.default_dtype())
+        for i, seq in enumerate(seqs):
+            ids[i, :len(seq)] = seq
+            weights[i, :len(seq), 0] = 1.0 / len(seq)
+    for name, expected in (("ids", ids), ("weights", weights)):
+        assert seen[name].dtype == expected.dtype, name
+        np.testing.assert_array_equal(seen[name], expected, err_msg=name)
+
+
 def test_lead_condition_tells_a_sequence_from_its_reverse(rng):
     table = rng.standard_normal((9, 4))
     items = [2, 5, 5, 7, 1]
