@@ -266,14 +266,14 @@ def run_sweep(config, raw_dir, out_dir, m_values=None, gamma_values=None, seeds=
     """Fan out over M or gamma values (times seeds), average reports per
     setting, and write a comparison table."""
     from dataclasses import replace
-    os.makedirs(out_dir, exist_ok=True)
     seeds = seeds or [config.seed]
     if m_values:
-        settings = [(f"M={m}", replace(config, M=m)) for m in m_values]
+        settings = [(f"M={m}", replace(config, M=m).validate()) for m in m_values]
     elif gamma_values:
-        settings = [(f"gamma={g}", replace(config, gamma=g)) for g in gamma_values]
+        settings = [(f"gamma={g}", replace(config, gamma=g).validate()) for g in gamma_values]
     else:
         settings = [(config.strategy, config)]
+    os.makedirs(out_dir, exist_ok=True)
     reports = {}
     for name, cfg in settings:
         per_seed = [run_pipeline_once(replace(cfg, seed=s), raw_dir,

@@ -9,8 +9,9 @@ Training uses the sequence-to-one scheme: every prefix of a user's train
 items yields one (input, next-item) example, scored with a binary
 cross-entropy over the positive logit plus sampled negative logits. Callers
 read only the last position, so the final block computes that one alone.
-Only the real positions of the left-padded rows are encoded, packed; attention
-runs on slices as wide as the longest row, each holding several whole rows.
+A batch is a list of item-id rows of any lengths; their items are encoded
+packed, and attention runs on slices as wide as the longest row, each holding
+several whole rows.
 """
 
 from dataclasses import dataclass
@@ -64,17 +65,15 @@ class AttnFFNBlock(Module):
         return nd.add(h, drop(f))
 
 
-def pack_rows(pad_rows):
-    """Pack the real positions of the left-padded ``pad_rows`` (B, W) into S slices of
-    width W: rows go first-fit in decreasing order of length (a stable sort), each left-
-    aligned after the rows already in its slice. Returns ``at`` = (slices, cols) of every
-    real position in ``np.nonzero`` order, the additive (S, W, W) mask in which a
-    position sees itself and the earlier positions of its own row, and ``last`` =
-    (ends, (slices, ranks), (S, R, W) mask): the packed index of each row's last
-    position, where its query sits when the final block groups them by slice, and the
-    keys it sees."""
-    lengths = np.count_nonzero(pad_rows, axis=1)
-    b, w = pad_rows.shape
+def pack_rows(lengths):
+    """Pack rows of ``lengths`` items into S slices of width W, the longest row: rows
+    go first-fit in decreasing order of length (a stable sort), each left-aligned after
+    the rows already in its slice. Returns ``at`` = (slices, cols) of every item in row
+    order, the additive (S, W, W) mask in which an item sees itself and the earlier
+    items of its own row, and ``last`` = (ends, (slices, ranks), (S, R, W) mask): the
+    packed index of each row's last item, where its query sits when the final block
+    groups them by slice, and the keys it sees."""
+    b, w = len(lengths), int(lengths.max())
     slices, offsets, ranks = [0] * b, [0] * b, [0] * b
     room, held = [], []
     lens = lengths.tolist()
@@ -98,7 +97,7 @@ def pack_rows(pad_rows):
     cols = offsets[row] + np.arange(len(row)) - (ends - lengths + 1)[row]
     at = (slices[row], cols)
     # compared at the smallest integer type that holds w, several times faster than int64;
-    # padding positions start at themselves, and no real query sees them
+    # unused slice positions start at themselves, and no item's query sees them
     j = np.arange(w, dtype=np.min_scalar_type(w))
     starts = np.tile(j, (len(room), 1))
     starts[at] = offsets[row]
@@ -113,16 +112,15 @@ def pack_rows(pad_rows):
 
 
 class SrsModel(Module):
-    """Attention blocks over left-padded sequences; logits are the last
-    position's hidden state dotted with the (tied) item-embedding table.
-    A batch is as wide as its longest row, L <= max_len, and uses the last L
-    rows of ``pos_emb``. Only the real positions are encoded, packed (N, d).
-    Attention runs on (S, L) slices, each holding whole rows side by side
-    (``pack_rows``); keys of padding and of other rows get exactly zero weight.
-    Each dropout masks the packed (N, d) array it is given, or (B, d) in the last
-    block, so neither trimming nor packing changes a result beyond summation
-    order. The last block computes the last position alone (its keys and values
-    read every position), with each row's query grouped by slice."""
+    """Attention blocks over item-id rows; logits are the last position's hidden
+    state dotted with the (tied) item-embedding table. A row of n items uses the
+    last n rows of ``pos_emb``, so its positions do not depend on its batch.
+    The items of a batch are encoded packed, (N, d). Attention runs on (S, W)
+    slices as wide as the longest row, each holding whole rows side by side
+    (``pack_rows``); keys of other rows get exactly zero weight. Each dropout
+    masks the packed (N, d) array it is given, or (B, d) in the last block. The
+    last block computes the last position alone (its keys and values read every
+    position), with each row's query grouped by slice."""
 
     def __init__(self, config, rng):
         self.config = config
@@ -134,45 +132,38 @@ class SrsModel(Module):
 
     # -- encoding ----------------------------------------------------------
 
-    def pad_batch(self, sequences):
-        """Left-pad / left-truncate item lists to the longest row, at most
-        max_len. Returns int array (B, L)."""
-        rows = [list(seq)[-self.config.max_len:] for seq in sequences]
-        if not all(rows):
-            raise ValueError("cannot score an empty sequence")
-        L = max(map(len, rows), default=0)
-        out = np.zeros((len(rows), L), dtype=np.int64)
-        for i, seq in enumerate(rows):
-            out[i, L - len(seq):] = seq
-        return out
-
-    def encode(self, ids=None, emb_seq=None, pad_rows=None, train=False, rng=None):
-        """The last position's hidden state (B, d). Either look up ``ids`` (B, L)
-        or run a caller-supplied embedding sequence (B, L, d) through the same
-        trunk; the two agree exactly when emb_seq equals the looked-up rows.
-        Only the nonzero (real) positions of the ids or ``pad_rows`` are encoded,
-        and attention reads them from the slices ``pack_rows`` packs them into.
-        Rows are left-padded, so a row whose last slot is padding is refused; rows
-        wider than max_len have no position embeddings and are refused too."""
-        if emb_seq is None:
-            pad_rows = ids
-        elif pad_rows is None:
-            raise ValueError("emb_seq input needs explicit pad_rows for masking")
-        if not np.all(pad_rows[:, -1]):
-            raise ValueError("every row's last slot must hold an item; rows are left-padded")
+    def encode(self, rows=None, emb_seq=None, train=False, rng=None):
+        """The last position's hidden state (B, d). Either look up item-id ``rows``,
+        each cut to its last max_len items, or run a caller-supplied embedding
+        sequence (B, M, d), every position an item, through the same trunk; the
+        two agree exactly when emb_seq equals the looked-up rows. An empty row or
+        an id below 1 is refused, and so is an emb_seq wider than max_len, which
+        would have no position embeddings."""
         cfg = self.config
-        L = pad_rows.shape[1]
-        if L > cfg.max_len:
-            raise ValueError(f"rows are {L} positions wide, but max_len is {cfg.max_len}")
-        at = np.nonzero(pad_rows)
+        d = cfg.embed_dim
+        if emb_seq is None:
+            rows = [r[-cfg.max_len:] for r in rows]
+            lengths = np.array([len(r) for r in rows])
+            if not lengths.all():
+                raise ValueError("cannot score an empty sequence")
+            ids = np.concatenate(rows)
+            if ids.min() < 1:
+                raise ValueError(f"item ids start at 1, got {ids.min()}")
+            x = nd.embedding(self.item_emb, ids)
+        else:
+            b, m = emb_seq.shape[:2]
+            if m > cfg.max_len:
+                raise ValueError(f"rows are {m} positions wide, but max_len is {cfg.max_len}")
+            lengths = np.full(b, m)
+            x = nd.reshape(emb_seq, (b * m, d))
 
         def drop(x):
             return nd.dropout(x, cfg.dropout, train, rng)
 
-        x = nd.embedding(self.item_emb, ids[at]) if emb_seq is None else nd.take(emb_seq, at)
-        h = nd.mul(x, float(np.sqrt(cfg.embed_dim)))
-        h = drop(nd.add(h, nd.take(self.pos_emb, at[1] + (cfg.max_len - L))))
-        packed_at, mask, last = pack_rows(pad_rows)
+        # row r's j-th item sits at pos_emb[max_len - len(r) + j]
+        pos = np.arange(x.shape[0]) + np.repeat(cfg.max_len - np.cumsum(lengths), lengths)
+        h = drop(nd.add(nd.mul(x, float(np.sqrt(d))), nd.take(self.pos_emb, pos)))
+        packed_at, mask, last = pack_rows(lengths)
         for block in self.blocks:
             h = block(h, packed_at, mask, drop, last=last if block is self.blocks[-1] else None)
         return self.final_norm(h)
@@ -187,19 +178,12 @@ class SrsModel(Module):
     def score_sequences(self, sequences):
         """(B, V) ndarray of next-item scores for item-id histories."""
         with nd.no_grad():
-            ids = self.pad_batch(sequences)
-            return self.logits_all(self.encode(ids=ids)).data
-
-    def score_next(self, items):
-        """(V,) scores after one history; over-length input keeps the most
-        recent max_len items."""
-        return self.score_sequences([items])[0]
+            return self.logits_all(self.encode(rows=sequences)).data
 
     def score_embedded(self, emb_seq):
         """Graph-connected logits (B, V) from an embedding-sequence Tensor
         (B, M, d); used for input-gradient guidance."""
-        pad_rows = np.ones(emb_seq.shape[:2], dtype=np.int64)
-        return self.logits_all(self.encode(emb_seq=emb_seq, pad_rows=pad_rows))
+        return self.logits_all(self.encode(emb_seq=emb_seq))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +216,8 @@ def sample_negatives(num_items, forbidden, count, rng):
 
 
 def _batch_loss(model, batch, train, rng):
-    """Mean BCE over a batch of (padded_ids, target, negatives[]) rows."""
-    ids = model.pad_batch([b[0] for b in batch])
-    last = model.encode(ids=ids, train=train, rng=rng)
+    """Mean BCE over a batch of (item_ids, target, negatives[]) rows."""
+    last = model.encode(rows=[b[0] for b in batch], train=train, rng=rng)
     pos_ids = np.array([b[1] for b in batch], dtype=np.int64)
     pos_logit = nd.sum_(nd.mul(last, nd.embedding(model.item_emb, pos_ids)), axis=-1)
     loss = nd.mean(nd.softplus(nd.mul(pos_logit, -1.0)))
@@ -320,7 +303,7 @@ def generate_preorder(model, raw_items, M):
     seq = list(reversed(raw_items))
     generated = []
     for _ in range(M):
-        scores = model.score_next(seq)
+        scores = model.score_sequences([seq])[0]
         v = int(np.argmax(scores)) + 1
         generated.append(v)
         seq.append(v)

@@ -182,6 +182,14 @@ def test_sweep_refuses_m_together_with_gamma(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def test_sweep_refuses_a_negative_gamma(tmp_path, capsys):
+    code = run_cli("sweep", "--data", str(tmp_path), "--out", str(tmp_path / "s"), "--gamma", "-3")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "gamma must be finite and >= 0, got -3.0" in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_pipeline_random_strategy_roundtrip(tmp_path):
     data = tmp_path / "data"
     run_cli("synth", "--users", "25", "--items", "12", "--seed", "4", "--out", str(data))

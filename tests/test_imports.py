@@ -1,8 +1,12 @@
-"""Every top-level import in src/ and tests/ is used by its module.
+"""Every top-level import in src/ and tests/ is used by its module, and every
+definition in src/ is read somewhere.
 
-An AST scan stands in for a linter: a module's top-level import binds a
-name, and some ``Name`` node in the same module must read it. Package
-``__init__.py`` files are skipped, since their imports are re-exports.
+AST scans stand in for a linter. A module's top-level import binds a name,
+and some ``Name`` node in the same module must read it; package
+``__init__.py`` files are skipped, since their imports are re-exports. Each
+top-level function or class and each non-dunder method in src/ must be read
+in src/, tests/ or perfbench/: by a ``Name``, an ``Attribute``, an import
+alias or a string constant, since the benchmark's tracer patches by name.
 """
 
 import ast
@@ -13,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")
+SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -37,3 +42,53 @@ def test_no_unused_top_level_imports(path):
 def test_scan_flags_an_unused_import_and_accepts_a_used_one():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == [(1, "os")]
     assert unused_imports("from a import b as c\nc.d()\n") == []
+
+
+def definitions(source):
+    """(line, name) of each top-level function or class and each non-dunder method."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (*funcs, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(n.lineno, n.name) for n in node.body
+                    if isinstance(n, funcs) and not (n.name.startswith("__") and n.name.endswith("__"))]
+    return out
+
+
+def reads(source):
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def dead_definitions(source, read):
+    return [(line, name) for line, name in definitions(source) if name not in read]
+
+
+@pytest.fixture(scope="module")
+def read_anywhere():
+    return set().union(*(reads(p.read_text(encoding="utf-8")) for p in SOURCES))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.is_relative_to(ROOT / "src")],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_src_definition_is_read_somewhere(path, read_anywhere):
+    assert dead_definitions(path.read_text(encoding="utf-8"), read_anywhere) == []
+
+
+def test_scan_flags_a_dead_definition_and_accepts_a_read_one():
+    source = ("def f():\n    pass\n\n\nclass C:\n    def __init__(self):\n        pass\n\n"
+              "    def m(self):\n        pass\n")
+    assert dead_definitions(source, reads(source)) == [(1, "f"), (5, "C"), (9, "m")]
+    assert dead_definitions(source, reads("from a import f\nC().m()\n")) == []
+    assert dead_definitions(source, reads("f()\nsetattr(obj, 'm', None)\n")) == [(5, "C")]

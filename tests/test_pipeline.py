@@ -14,7 +14,7 @@ import pytest
 from seqaug import numerics as nd
 from seqaug import pipeline
 from seqaug.cli import main
-from seqaug.config import STRATEGIES, load_config
+from seqaug.config import STRATEGIES, ConfigError, load_config
 from seqaug.numerics.checkpoint import load_checkpoint, save_checkpoint
 
 SIZES = {"synth_users": 30, "synth_items": 12, "M": 2, "T": 4, "beta_start": 0.02,
@@ -39,6 +39,20 @@ def stages(tmp_path_factory):
         models[role] = os.path.join(root, role)
         pipeline.run_train_srs(cfg, raw, models[role], role=role)
     return cfg, raw, models
+
+
+@pytest.mark.parametrize("axis, values, problem", [
+    ("m_values", [2, 0], "M must be >= 1, got 0"),
+    ("m_values", [-2], "M must be >= 1, got -2"),
+    ("gamma_values", [1.0, -3.0], "gamma must be finite and >= 0, got -3.0"),
+])
+def test_sweep_validates_every_setting_before_any_stage_runs(tmp_path, axis, values, problem):
+    out = tmp_path / "sweep"
+    with pytest.raises(ConfigError) as exc:
+        pipeline.run_sweep(load_config(None, SIZES), str(tmp_path / "raw"), str(out),
+                           **{axis: values})
+    assert exc.value.problems == [problem]
+    assert not out.exists()
 
 
 def test_float32_stage_leaves_the_callers_precision(stages, tmp_path):

@@ -30,16 +30,18 @@ def alternating_dataset(n_users=10, length=8):
 
 def test_different_histories_give_different_logits(rng):
     model = tiny_model()
-    s1 = model.score_next([1, 2, 3])
-    s2 = model.score_next([4, 5, 6])
+    s1, s2 = model.score_sequences([[1, 2, 3], [4, 5, 6]])
     assert s1.shape == (10,)
     assert np.abs(s1 - s2).max() > 1e-9
 
 
 def test_overlength_input_truncates_to_most_recent():
+    """A row longer than max_len scores as its last max_len items, beside rows
+    shorter than max_len and as long as it."""
     model = tiny_model(max_len=4)
-    long = [1, 2, 3, 4, 5, 6, 7]
-    np.testing.assert_array_equal(model.score_next(long), model.score_next(long[-4:]))
+    rows = [[1, 2, 3, 4, 5, 6, 7], [7], [2, 9, 8, 3], [9, 8, 3, 1, 5]]
+    np.testing.assert_array_equal(model.score_sequences(rows),
+                                  model.score_sequences([row[-4:] for row in rows]))
 
 
 def test_relabeling_equivariance(rng):
@@ -57,56 +59,55 @@ def test_relabeling_equivariance(rng):
 
     items = [2, 4, 1]
     relabeled = [int(perm[v - 1]) for v in items]
-    base = model.score_next(items)
-    mapped = permuted.score_next(relabeled)
+    base = model.score_sequences([items])[0]
+    mapped = permuted.score_sequences([relabeled])[0]
     for v in range(1, 7):
         assert mapped[perm[v - 1] - 1] == pytest.approx(base[v - 1], abs=1e-12)
 
 
-def _first_block_states(model, ids):
-    """The first block's output at every position of the (B, L) grid, zero at
-    padding: ``encode`` keeps only the last one, so causality is read one block
-    down, on the packed slices ``encode`` gives the blocks."""
-    at = np.nonzero(ids)
-    packed_at, mask, _ = srs.pack_rows(ids)
+def _first_block_states(model, rows):
+    """The first block's output at every item of ``rows``, one (n, d) array per
+    row: ``encode`` keeps only the last one, so causality is read one block down,
+    on the packed slices ``encode`` gives the blocks."""
+    lengths = np.array([len(row) for row in rows])
+    packed_at, mask, _ = srs.pack_rows(lengths)
     with nd.no_grad():
-        h = model.blocks[0](nd.embedding(model.item_emb, ids[at]), packed_at, mask, lambda x: x)
-    out = np.zeros(ids.shape + (model.config.embed_dim,))
-    out[at] = h.data
-    return out
+        h = model.blocks[0](nd.embedding(model.item_emb, np.concatenate(rows)), packed_at, mask,
+                            lambda x: x)
+    return np.split(h.data, np.cumsum(lengths)[:-1])
 
 
-def test_causal_mask_padding_slot_does_not_affect_hidden_states(rng):
-    """A row's states do not depend on the padding in front of it, whether the
-    row stands alone or beside a longer row."""
+def test_a_rows_states_do_not_depend_on_its_batch_mates(rng):
+    """A row's first-block states and scores are the same whether the row stands
+    alone or beside a longer row."""
     model = tiny_model(max_len=6)
-    alone = _first_block_states(model, np.array([[7, 8, 9]]))
-    padded = _first_block_states(model, np.array([[0, 0, 0, 7, 8, 9]]))
-    beside = _first_block_states(model, model.pad_batch([[1, 2, 3, 4, 5], [7, 8, 9]]))
-    np.testing.assert_array_equal(padded[0, :3], 0.0)
-    np.testing.assert_allclose(padded[0, 3:], alone[0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(beside[1, 2:], alone[0], rtol=0, atol=1e-12)
+    alone = _first_block_states(model, [[7, 8, 9]])
+    beside = _first_block_states(model, [[1, 2, 3, 4, 5], [7, 8, 9]])
+    np.testing.assert_allclose(beside[1], alone[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.score_sequences([[1, 2, 3, 4, 5], [7, 8, 9]])[1],
+                               model.score_sequences([[7, 8, 9]])[0], rtol=0, atol=1e-12)
 
 
 def test_causality_perturbing_position_k_leaves_earlier_states_unchanged(rng):
     model = tiny_model(max_len=5)
-    ids = model.pad_batch([[1, 2, 3, 4, 5], [6, 7]])
-    base = _first_block_states(model, ids)
+    rows = [[1, 2, 3, 4, 5], [6, 7]]
+    base = _first_block_states(model, rows)
     for k in range(5):
-        mod = ids.copy()
-        mod[0, k] = (mod[0, k] % 10) + 1
-        out = _first_block_states(model, mod)
-        np.testing.assert_array_equal(base[0, :k], out[0, :k])
+        edited = [list(row) for row in rows]
+        edited[0][k] = edited[0][k] % 10 + 1
+        out = _first_block_states(model, edited)
+        np.testing.assert_array_equal(base[0][:k], out[0][:k])
+        assert np.any(base[0][k] != out[0][k])
         np.testing.assert_array_equal(base[1], out[1])
 
 
 def _full_width_encode(model):
-    """``encode`` on the padded (B, L) layout: every block at all L positions,
-    padding included, then ``final_norm`` and the last row. Each dropout mask is
-    drawn as the packed trunk draws it, one (N, d) draw over the real positions or
-    one (B, d) draw over the last positions in the final block, and scattered into
-    this layout's own (B, L, d) mask. This is the reference the packed trunk and its
-    last-position final block must match."""
+    """``encode`` on its own left-padded (B, L) grid, L the longest row: every
+    block at all L positions, padding included, then ``final_norm`` and the last
+    column. Each dropout mask is drawn as the packed trunk draws it, one (N, d)
+    draw over the items or one (B, d) draw over the last positions in the final
+    block, and scattered into this layout's own (B, L, d) mask. This is the
+    reference the packed trunk and its last-position final block must match."""
     cfg = model.config
 
     def block_at_full_width(block, h, mask, drop):
@@ -116,11 +117,17 @@ def _full_width_encode(model):
         f = block.ffn2(nd.relu(block.ffn1(block.norm2(h))))
         return nd.add(h, drop(f))
 
-    def encode(ids=None, emb_seq=None, pad_rows=None, train=False, rng=None):
+    def encode(rows=None, emb_seq=None, train=False, rng=None):
         if emb_seq is None:
-            pad_rows, emb_seq = ids, nd.embedding(model.item_emb, ids)
-        L = pad_rows.shape[1]
-        real, last = pad_rows != 0, np.zeros(pad_rows.shape, dtype=bool)
+            rows = [row[-cfg.max_len:] for row in rows]
+            ids = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
+            for i, row in enumerate(rows):
+                ids[i, ids.shape[1] - len(row):] = row
+            real, emb_seq = ids != 0, nd.embedding(model.item_emb, ids)
+        else:
+            real = np.ones(emb_seq.shape[:2], dtype=bool)
+        L = real.shape[1]
+        last = np.zeros(real.shape, dtype=bool)
         last[:, -1] = True
 
         def drop(x, kept):
@@ -133,7 +140,7 @@ def _full_width_encode(model):
         h = nd.mul(emb_seq, float(np.sqrt(cfg.embed_dim)))
         h = drop(nd.add(h, nd.take(model.pos_emb, np.arange(cfg.max_len - L, cfg.max_len))), real)
         # a real query sees itself and the real positions before it
-        seen = np.tril(np.ones((L, L), dtype=bool)) & (pad_rows[:, None, :] != 0)
+        seen = np.tril(np.ones((L, L), dtype=bool)) & real[:, None, :]
         mask = np.where(seen, 0.0, -1e9).astype(nd.default_dtype())
         for block in model.blocks:
             kept = last if block is model.blocks[-1] else real
@@ -149,8 +156,8 @@ def _oracle_outputs(model, batches, x):
     states_rng, loss_rng = seed_stream(9, "states"), seed_stream(9, "loss")
     out = {}
     for i, batch in enumerate(batches):
-        ids = model.pad_batch([row[0] for row in batch])
-        out[f"states {i}"] = model.encode(ids=ids, train=True, rng=states_rng).data
+        rows = [row[0] for row in batch]
+        out[f"states {i}"] = model.encode(rows=rows, train=True, rng=states_rng).data
         model.zero_grad()
         loss = srs._batch_loss(model, batch, train=True, rng=loss_rng)
         nd.backward(loss)
@@ -186,9 +193,9 @@ def test_last_position_final_block_matches_full_width(monkeypatch, blocks):
     _assert_packed_matches_full_width(monkeypatch, blocks, batches)
 
 
-def _row_slices(ids):
-    """The slice ``pack_rows`` puts each row of ``ids`` in."""
-    _, _, (_, (slices, _), _) = srs.pack_rows(ids)
+def _row_slices(rows):
+    """The slice ``pack_rows`` puts each of ``rows`` in."""
+    _, _, (_, (slices, _), _) = srs.pack_rows(np.array([len(row) for row in rows]))
     return slices
 
 
@@ -197,7 +204,7 @@ def test_rows_sharing_a_slice_match_full_width(monkeypatch):
     state, the loss and every gradient match the full-width reference."""
     rows = [[4, 2, 7], list(range(1, 11)) + [3, 5], [6], [9, 8, 1, 2, 5], [2, 2], [8, 3, 6, 1]]
     batch = [(row, 1 + i, [10 - i]) for i, row in enumerate(rows)]
-    assert len(np.unique(_row_slices(tiny_model().pad_batch(rows)))) == 3
+    assert len(np.unique(_row_slices(rows))) == 3
     _assert_packed_matches_full_width(monkeypatch, 2, [batch])
 
 
@@ -205,19 +212,20 @@ def test_editing_a_row_leaves_its_slice_mates_unchanged():
     """Rows packed into one slice read none of each other's keys: changing an
     item of one row leaves every other row's first-block states byte-equal."""
     model = tiny_model(max_len=8)
-    ids = model.pad_batch([[1, 2, 3, 4, 5, 6, 7, 8], [3, 1], [5, 4, 9], [2, 6, 7]])
-    slices = _row_slices(ids)
+    rows = [[1, 2, 3, 4, 5, 6, 7, 8], [3, 1], [5, 4, 9], [2, 6, 7]]
+    slices = _row_slices(rows)
     mates = np.flatnonzero(slices == slices[1])
     assert len(mates) == 3
-    base = _first_block_states(model, ids)
+    base = _first_block_states(model, rows)
     for row in mates:
-        for col in np.flatnonzero(ids[row]):
-            edited = ids.copy()
-            edited[row, col] = edited[row, col] % 10 + 1
+        for col in range(len(rows[row])):
+            edited = [list(r) for r in rows]
+            edited[row][col] = edited[row][col] % 10 + 1
             out = _first_block_states(model, edited)
             assert np.any(out[row] != base[row])
-            others = np.arange(len(ids)) != row
-            np.testing.assert_array_equal(out[others], base[others])
+            for other in range(len(rows)):
+                if other != row:
+                    np.testing.assert_array_equal(out[other], base[other])
 
 
 def test_a_long_row_does_not_widen_the_short_rows(monkeypatch):
@@ -233,87 +241,36 @@ def test_a_long_row_does_not_widen_the_short_rows(monkeypatch):
         return attend(q, k, v, mask=mask)
 
     monkeypatch.setattr(nd, "scaled_dot_attention", recording)
-    model.encode(ids=model.pad_batch(seqs))
+    model.encode(rows=seqs)
     assert len(shapes) == 1 and shapes[0][1:] == (40, 16)
     assert shapes[0][0] <= -(-168 // 40) + 1
 
 
-def test_encode_refuses_a_row_whose_last_slot_is_padding():
+def test_encode_refuses_an_empty_row_and_ids_below_one():
     model = tiny_model()
-    with pytest.raises(ValueError, match="last slot"):
-        model.encode(ids=np.array([[1, 2, 3], [4, 5, 0]]))
-    with pytest.raises(ValueError, match="last slot"):
-        model.encode(emb_seq=Tensor(np.zeros((1, 2, 16))), pad_rows=np.array([[1, 0]]))
+    for rows, message in (([[1, 2], []], "cannot score an empty sequence"),
+                          ([[3], [1, 0, 3]], "item ids start at 1, got 0"),
+                          ([[2, -1]], "item ids start at 1, got -1")):
+        with pytest.raises(ValueError, match=message):
+            model.encode(rows=rows)
 
 
 def test_encode_refuses_rows_wider_than_max_len():
-    """``pad_batch`` truncates id rows, but an embedding sequence reaches ``encode``
-    as it is; wider than max_len it would have no position embeddings."""
+    """Id rows are cut to their last max_len items, but an embedding sequence
+    reaches ``encode`` as it is; wider than max_len it would have no position
+    embeddings."""
     model = tiny_model(max_len=4)
     with pytest.raises(ValueError, match="6 positions wide, but max_len is 4"):
         model.score_embedded(Tensor(np.zeros((2, 6, 16))))
 
 
-def _pad_to_max_len(model, sequences):
-    """The untrimmed layout: every row left-padded to max_len."""
-    L = model.config.max_len
-    out = np.zeros((len(sequences), L), dtype=np.int64)
-    for i, seq in enumerate(sequences):
-        out[i, L - len(seq):] = seq
-    return out
-
-
-def test_pad_batch_trims_to_longest_row_capped_at_max_len():
-    model = tiny_model(max_len=4)
-    np.testing.assert_array_equal(model.pad_batch([[5], [1, 2, 3]]), [[0, 0, 5], [1, 2, 3]])
-    np.testing.assert_array_equal(model.pad_batch([[1, 2, 3, 4, 5, 6], [7]]),
-                                  [[3, 4, 5, 6], [0, 0, 0, 7]])
-    with pytest.raises(ValueError):
-        model.pad_batch([[1], []])
-
-
-def test_trimmed_batch_matches_full_width_with_dropout(monkeypatch):
-    """Trimming a batch to its longest row leaves hidden states, loss and
-    every gradient as at full max_len width, dropout included: each mask is
-    drawn over the real positions, which padding does not change."""
-    model = tiny_model(num_items=10, d=16, blocks=2, max_len=12, dropout=0.6)
-    seqs = [[3], [1, 4, 2], [5, 6, 7, 8, 9]]
-    trimmed = model.pad_batch(seqs)
-    assert trimmed.shape == (3, 5)
-    h_trim = model.encode(ids=trimmed, train=True, rng=seed_stream(9, "drop")).data
-    h_full = model.encode(ids=_pad_to_max_len(model, seqs), train=True,
-                          rng=seed_stream(9, "drop")).data
-    np.testing.assert_allclose(h_trim, h_full, rtol=0, atol=1e-12)
-
-    batch = [(seq, target, [neg]) for seq, target, neg in zip(seqs, [2, 5, 10], [7, 8, 1])]
-
-    def loss_and_grads():
-        loss = srs._batch_loss(model, batch, train=True, rng=seed_stream(9, "drop"))
-        model.zero_grad()
-        nd.backward(loss)
-        return float(loss.data), {n: p.grad.copy() for n, p in model.parameters().items()}
-
-    loss_trim, grads_trim = loss_and_grads()
-    monkeypatch.setattr(model, "pad_batch", lambda s: _pad_to_max_len(model, s))
-    loss_full, grads_full = loss_and_grads()
-    assert abs(loss_trim - loss_full) <= 1e-12
-    assert grads_trim.keys() == grads_full.keys()
-    for name in grads_trim:
-        np.testing.assert_allclose(grads_trim[name], grads_full[name], rtol=0, atol=1e-12,
-                                   err_msg=name)
-
-
 def test_embedding_matrix_path_matches_id_path_exactly(rng):
     model = tiny_model(num_items=8, d=16, max_len=5)
-    seqs = [[2, 5, 7], [4], [1, 3, 6, 8, 2]]
-    ids = model.pad_batch(seqs)
-    assert (ids == 0).any()
+    seqs = [[2, 5, 7], [4, 1, 8], [1, 3, 6]]
     with nd.no_grad():
-        looked_up = nd.embedding(model.item_emb, ids)
-        via_emb = model.logits_all(model.encode(emb_seq=looked_up,
-                                                pad_rows=ids)).data
-    via_ids = model.score_sequences(seqs)
-    np.testing.assert_array_equal(via_emb, via_ids)
+        looked_up = nd.embedding(model.item_emb, np.array(seqs))
+        via_emb = model.logits_all(model.encode(emb_seq=looked_up)).data
+    np.testing.assert_array_equal(via_emb, model.score_sequences(seqs))
 
 
 def test_score_embedded_produces_input_gradients(rng):
@@ -415,7 +372,7 @@ def test_trained_model_beats_popularity_baseline(rng):
             hits += rank <= 10
         return hits / len(users)
 
-    model_hr = hr10(lambda u: model.score_next(split.train[u] + [split.valid_target[u]]))
+    model_hr = hr10(lambda u: model.score_sequences([split.train[u] + [split.valid_target[u]]])[0])
     pop_hr = hr10(lambda u: counts)
     assert model_hr > pop_hr
 
@@ -440,7 +397,7 @@ def test_reverse_model_learns_markov_mode(rng):
     srs.train_reverse(model, split, cfg)
     correct = 0
     for v in range(1, num_items + 1):
-        pred = int(np.argmax(model.score_next([v]))) + 1
+        pred = int(np.argmax(model.score_sequences([[v]])[0])) + 1
         expected = (v - 2) % num_items + 1  # predecessor in the forward chain
         correct += pred == expected
     assert correct / num_items >= 0.6
@@ -475,4 +432,4 @@ def test_checkpoint_roundtrip(tmp_path):
     model.save(path, meta={"role": "backbone"})
     other = tiny_model(key="blank")
     other.load_state_arrays(load_checkpoint(path)[0])
-    np.testing.assert_array_equal(other.score_next([1, 2]), model.score_next([1, 2]))
+    np.testing.assert_array_equal(other.score_sequences([[1, 2]]), model.score_sequences([[1, 2]]))
