@@ -101,7 +101,7 @@ def augment_dataset(ds, config, model=None, reverse_model=None, classifier=None)
             if not np.isfinite(x0_hat).all():
                 raise FloatingPointError(f"augment: {config.strategy} sampled a non-finite value "
                                          f"in the chunk starting at user {chunk[0]}")
-            ids, zeros = diffusion.round_to_items(x0_hat, model.item_emb.data, forbid_padding=True)
+            ids, zeros = diffusion.round_to_items(x0_hat, model.item_emb.data)
             zero_rows += zeros
             for u, row in zip(chunk, ids):
                 entries[u] = ([int(v) for v in row], list(ds.users[u]))

@@ -42,6 +42,13 @@ def _build_config(args):
     return load_config(args.config, overrides)
 
 
+def _listed(kind):
+    def parse(text):
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's "invalid <name> value" error
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="seqaug",
                                      description="diffusion-based pre-order augmentation pipeline")
@@ -84,9 +91,9 @@ def build_parser():
     _add_common(p)
     p.add_argument("--data", required=True, help="preprocess output directory")
     axis = p.add_mutually_exclusive_group()
-    axis.add_argument("--M", help="comma-separated augment counts, e.g. 4,6,8")
-    axis.add_argument("--gamma", help="comma-separated guidance scales")
-    p.add_argument("--seeds", help="comma-separated run seeds (default: config seed)")
+    axis.add_argument("--M", type=_listed(int), help="comma-separated augment counts, e.g. 4,6,8")
+    axis.add_argument("--gamma", type=_listed(float), help="comma-separated guidance scales")
+    p.add_argument("--seeds", type=_listed(int), help="comma-separated run seeds (default: config seed)")
     return parser
 
 
@@ -123,11 +130,8 @@ def _run(args):
         k = config.eval_k
         print(f"HR@{k} {report.overall[f'hr@{k}']:.4f}  NDCG@{k} {report.overall[f'ndcg@{k}']:.4f}")
     elif args.command == "sweep":
-        m_values = [int(v) for v in args.M.split(",")] if args.M else None
-        gamma_values = [float(v) for v in args.gamma.split(",")] if args.gamma else None
-        seeds = [int(v) for v in args.seeds.split(",")] if args.seeds else None
         _, text = pipeline.run_sweep(config, args.data, args.out,
-                                     m_values=m_values, gamma_values=gamma_values, seeds=seeds)
+                                     m_values=args.M, gamma_values=args.gamma, seeds=args.seeds)
         print(text)
     return EXIT_OK
 

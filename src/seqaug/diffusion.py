@@ -205,8 +205,8 @@ def sample(model, raw_seqs, M, gamma, sched, seed, user_keys=None, classifier=No
     return x
 
 
-def round_to_items(x0_hat, table, forbid_padding=True):
-    """Nearest item per generated row by cosine similarity.
+def round_to_items(x0_hat, table):
+    """Nearest item per generated row by cosine similarity, never row 0 (padding).
 
     Ties break toward the smallest item id; a zero-norm generated row falls
     back to a plain dot-product argmax and is counted in the returned stats.
@@ -218,8 +218,7 @@ def round_to_items(x0_hat, table, forbid_padding=True):
     table = np.asarray(table)
     if table.size == 0:
         raise ValueError("empty embedding table")
-    cand = table[1:] if forbid_padding else table
-    offset = 1 if forbid_padding else 0
+    cand = table[1:]
     norms = np.linalg.norm(cand, axis=1)
     norms = np.where(norms == 0, 1.0, norms)
     unit_cand = cand / norms[:, None]
@@ -231,7 +230,7 @@ def round_to_items(x0_hat, table, forbid_padding=True):
     dots = flat @ unit_cand.T
     sims = dots / np.where(zero_rows, 1.0, row_norms)[:, None]
     scores = np.where(zero_rows[:, None], flat @ cand.T, sims)
-    ids = scores.argmax(axis=1) + offset
+    ids = scores.argmax(axis=1) + 1
     ids = ids.reshape(b, m)
     if squeeze:
         ids = ids[0]

@@ -49,7 +49,7 @@ def sample_eval_negatives(num_items, forbidden, count, rng):
     return [pool[i] for i in picks], False
 
 
-def evaluate(scorer, split, ds, negatives=100, seed=1, k=10, target="test", batch_size=256):
+def evaluate(scorer, split, ds, negatives=100, seed=1, k=10, target="test"):
     """Rank each user's held-out item among sampled negatives.
 
     ``split`` supplies the input sequences (pass the augmented split when the
@@ -65,8 +65,8 @@ def evaluate(scorer, split, ds, negatives=100, seed=1, k=10, target="test", batc
     counts = {g: 0 for g in GROUPS}
     truncated = 0
 
-    for start in range(0, len(users), batch_size):
-        chunk = users[start:start + batch_size]
+    for start in range(0, len(users), 256):
+        chunk = users[start:start + 256]
         if target == "test":
             seqs = [split.train[u] + [split.valid_target[u]] for u in chunk]
             targets = [split.test_target[u] for u in chunk]

@@ -6,12 +6,9 @@ from .tensor import ShapeError
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -19,7 +16,7 @@ class Adam:
     def step(self):
         """One update; parameters with no accumulated gradient are skipped."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for i, p in enumerate(self.params):
@@ -32,4 +29,4 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype, copy=False)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype, copy=False)

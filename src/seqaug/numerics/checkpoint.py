@@ -5,6 +5,7 @@ manifest, then the concatenated array buffers. Reload is bit-exact.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -41,8 +42,8 @@ def save_checkpoint(path, arrays, meta=None):
 def load_checkpoint(path):
     """Read a checkpoint; returns (arrays: dict name -> ndarray, meta: dict).
 
-    A file cut short in its header, its manifest or an array's bytes raises
-    ``ValueError`` naming the path and the part that is missing."""
+    A file cut short, a manifest that does not parse into its fields, and an array
+    whose byte count does not fit its shape raise ``ValueError`` naming the path."""
     with open(path, "rb") as f:
         data = f.read()
     if not MAGIC.startswith(data[:len(MAGIC)]):
@@ -53,14 +54,21 @@ def load_checkpoint(path):
     mlen = int(np.frombuffer(data[len(MAGIC):head], dtype="<u8")[0])
     if len(data) < head + mlen:
         raise ValueError(f"{path}: truncated manifest: {len(data) - head} of {mlen} bytes")
-    manifest = json.loads(data[head:head + mlen].decode("utf-8"))
+    try:
+        manifest = json.loads(data[head:head + mlen].decode("utf-8"))
+        meta = dict(manifest["meta"])
+        entries = [(e["name"], int(e["offset"]), int(e["nbytes"]), np.dtype(e["dtype"]),
+                    tuple(int(n) for n in e["shape"])) for e in manifest["arrays"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: corrupt manifest ({type(exc).__name__}: {exc})") from None
     blob = memoryview(data)[head + mlen:]
     arrays = {}
-    for e in manifest["arrays"]:
-        start, stop = e["offset"], e["offset"] + e["nbytes"]
-        if len(blob) < stop:
-            raise ValueError(f"{path}: array {e['name']!r} truncated: "
-                             f"{max(len(blob) - start, 0)} of {e['nbytes']} bytes")
-        arr = np.frombuffer(blob[start:stop], dtype=np.dtype(e["dtype"])).reshape(e["shape"])
-        arrays[e["name"]] = arr.copy()
-    return arrays, manifest["meta"]
+    for name, start, nbytes, dtype, shape in entries:
+        if nbytes != math.prod(shape) * dtype.itemsize:
+            raise ValueError(f"{path}: array {name!r} has {nbytes} bytes, but shape {list(shape)} "
+                             f"of {dtype} takes {math.prod(shape) * dtype.itemsize}")
+        if len(blob) < start + nbytes:
+            raise ValueError(f"{path}: array {name!r} truncated: "
+                             f"{max(len(blob) - start, 0)} of {nbytes} bytes")
+        arrays[name] = np.frombuffer(blob[start:start + nbytes], dtype=dtype).reshape(shape).copy()
+    return arrays, meta

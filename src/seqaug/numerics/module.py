@@ -53,14 +53,13 @@ class Module:
         save_checkpoint(path, self.state_arrays(), meta=meta)
 
 
-def param(data, dtype=None):
-    arr = np.asarray(data, dtype=dtype or T.default_dtype())
-    return Tensor(arr, requires_grad=True)
+def param(data):
+    return Tensor(np.asarray(data, dtype=T.default_dtype()), requires_grad=True)
 
 
 class Linear(Module):
-    def __init__(self, d_in, d_out, rng, init_scale=1.0):
-        w = rng.standard_normal((d_in, d_out)) * (init_scale * np.sqrt(1.0 / d_in))
+    def __init__(self, d_in, d_out, rng):
+        w = rng.standard_normal((d_in, d_out)) * np.sqrt(1.0 / d_in)
         self.w = param(w)
         self.b = param(np.zeros(d_out))
 

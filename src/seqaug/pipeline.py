@@ -5,26 +5,27 @@ the full RunConfig and the stage's own facts) beside:
 
   synth            interactions.tsv
   preprocess       sequences.tsv, vocab.tsv
-  train-diffusion  model.ckpt (meta: net_config, num_items, config, condition), losses.json
-  train-srs        model.ckpt (meta: srs_config, role), history.json
+  train-diffusion  model.ckpt (meta: stage, config, num_items, condition), losses.json
+  train-srs        model.ckpt (meta: stage, config, num_items, role), history.json
   augment          sequences.tsv, vocab.tsv when the input has one
   evaluate         report.json
 """
 
 import contextlib
 import json
+import operator
 import os
-from dataclasses import asdict
 
 from . import augment as aug_mod
 from . import diffusion, srs, synth
 from . import numerics as nd
+from .config import RunConfig
 from .dataset import (leave_one_out_split, load_interactions, load_sequences, load_vocab,
                       save_json, save_sequences, save_vocab)
 from .evaluation import average_reports, compare, evaluate
 from .numerics import seed_stream
-from .srs import SrsConfig, SrsModel
-from .sunet import SUNet, SUNetConfig
+from .srs import SrsModel
+from .sunet import SUNet
 
 
 @contextlib.contextmanager
@@ -83,40 +84,43 @@ def run_train_diffusion(config, data_dir, out_dir, log=None):
     with _stage("train-diffusion", config, out_dir, data=os.path.abspath(data_dir)) as facts:
         ds = load_dataset_dir(data_dir)
         model, losses = aug_mod.train_augmentor(ds, config, log=log)
-        meta = {"net_config": asdict(model.config), "num_items": ds.num_items,
-                "config": config.to_dict(), "condition": diffusion.CONDITION}
+        meta = {"stage": "train-diffusion", "config": config.to_dict(), "num_items": ds.num_items,
+                "condition": diffusion.CONDITION}
         model.save(os.path.join(out_dir, "model.ckpt"), meta=meta)
         save_json(os.path.join(out_dir, "losses.json"), losses)
         facts["final_loss"] = losses[-1]
     return model, losses
 
 
-def _load_checkpoint(model_dir, stage):
-    """Arrays and meta of the ``stage`` checkpoint in ``model_dir``; refuses
-    one written by the other training stage or by an older version."""
-    from .numerics.checkpoint import load_checkpoint
-    arrays, meta = load_checkpoint(os.path.join(model_dir, "model.ckpt"))
-    holds = ("train-diffusion" if "net_config" in meta else
-             "train-srs" if "srs_config" in meta else "unrecognised")
-    if holds != stage:
-        raise ValueError(f"{model_dir} holds a {holds} checkpoint, but a {stage} one is needed")
-    if stage == "train-diffusion" and "config" not in meta:
-        raise ValueError(f"{model_dir} holds a train-diffusion checkpoint from an older version "
-                         "with no 'config' in its meta; retrain it")
+def _load_model(model_dir, stage, needed_by=None, reverse=False):
+    """``(model, trained)``: the ``stage`` model in ``model_dir``, built from the
+    RunConfig in its meta, and that config's fields plus ``num_items``. A
+    train-srs model must have role 'reverse' exactly when ``reverse``."""
+    arrays, meta = nd.checkpoint.load_checkpoint(os.path.join(model_dir, "model.ckpt"))
+    config = meta.get("config")
+    if not ({"stage", "num_items"} <= meta.keys() and isinstance(config, dict)
+            and config.keys() == RunConfig().to_dict().keys()):
+        raise ValueError(f"{model_dir} holds a checkpoint from an older version; retrain it")
+    if meta["stage"] != stage:
+        raise ValueError(f"{model_dir} holds a {meta['stage']} checkpoint, but a {stage} one is needed")
     if stage == "train-diffusion" and meta.get("condition") != diffusion.CONDITION:
         raise ValueError(f"{model_dir} holds a train-diffusion checkpoint conditioned on "
                          f"{meta.get('condition', 'the sequence mean alone')}, not on "
                          f"{diffusion.CONDITION}; retrain it")
-    return arrays, meta
+    if stage == "train-srs" and (meta.get("role") == "reverse") != reverse:
+        need = "'reverse'" if reverse else "'backbone' or 'classifier'"
+        raise ValueError(f"recommender in {model_dir} has role={meta.get('role')!r}, "
+                         f"but {needed_by} needs role {need}")
+    trained = RunConfig(**config)
+    model = (SUNet(trained.sunet_config(), meta["num_items"], seed_stream(0, "sunet-load"))
+             if stage == "train-diffusion" else
+             SrsModel(trained.srs_config(meta["num_items"]), seed_stream(0, "srs-load")))
+    model.load_state_arrays(arrays)
+    return model, {**config, "num_items": meta["num_items"]}
 
 
 def load_diffusion_model(model_dir):
-    arrays, meta = _load_checkpoint(model_dir, "train-diffusion")
-    net = meta["net_config"]
-    cfg = SUNetConfig(**{**net, "channel_mult": tuple(net["channel_mult"])})
-    model = SUNet(cfg, meta["num_items"], seed_stream(0, "sunet-load"))
-    model.load_state_arrays(arrays)
-    return model, meta
+    return _load_model(model_dir, "train-diffusion")
 
 
 def run_train_srs(config, data_dir, out_dir, role="backbone"):
@@ -133,41 +137,31 @@ def run_train_srs(config, data_dir, out_dir, role="backbone"):
             history = srs.train_reverse(model, split, config)
         else:
             history = srs.train(model, split, config)
-        meta = {"srs_config": asdict(model.config), "role": role}
+        meta = {"stage": "train-srs", "config": config.to_dict(), "num_items": ds.num_items, "role": role}
         model.save(os.path.join(out_dir, "model.ckpt"), meta=meta)
         save_json(os.path.join(out_dir, "history.json"), history)
     return model, history
 
 
-def _load_recommender(model_dir, needed_by, reverse):
-    """The train-srs checkpoint in ``model_dir`` as a model for ``needed_by``;
-    refuses one trained in the other direction (role 'reverse' vs 'backbone' /
-    'classifier')."""
-    arrays, meta = _load_checkpoint(model_dir, "train-srs")
-    if (meta["role"] == "reverse") != reverse:
-        need = "'reverse'" if reverse else "'backbone' or 'classifier'"
-        raise ValueError(f"recommender in {model_dir} has role={meta['role']!r}, "
-                         f"but {needed_by} needs role {need}")
-    model = SrsModel(SrsConfig(**meta["srs_config"]), seed_stream(0, "srs-load"))
-    model.load_state_arrays(arrays)
-    return model
+# what augment must share with each model it loads: the diffusion model's schedule and
+# SU-Net shape (gamma may differ; under diffusion_cf the strategy too, as only such a model
+# has an unconditional branch), the classifier's state width, and every model's catalogue
+_SAMPLED_WITH = ("M", "schedule_family", "T", "beta_start", "beta_end", "embed_dim", "levels",
+                 "base_width", "res_blocks", "num_items")
+_SCORED_WITH = ("srs_embed_dim", "num_items")
 
 
-# the settings sampling must share with training, the SU-Net's shape included; gamma may differ
-_TRAINED_WITH = ("M", "schedule_family", "T", "beta_start", "beta_end",
-                 "embed_dim", "levels", "base_width", "res_blocks")
-
-
-def _check_checkpoint(trained, config, model_dir):
-    """Refuse a diffusion checkpoint trained with other settings than the
-    ones ``config`` samples with."""
-    for name in _TRAINED_WITH:
-        if trained[name] != getattr(config, name):
-            raise ValueError(f"diffusion model in {model_dir} was trained with {name}={trained[name]!r}, "
-                             f"but the config has {name}={getattr(config, name)!r}")
-    if config.strategy == "diffusion_cf" and trained["strategy"] != "diffusion_cf":
-        raise ValueError(f"diffusion model in {model_dir} was trained with strategy={trained['strategy']!r} "
-                         "(no unconditional branch), but the config has strategy='diffusion_cf'")
+def _refuse_unshared(model_dir, trained, config, data_dir, ds, equal=(), at_least=()):
+    """The one refusal of a loaded model's settings: ``trained`` must hold the
+    config's value (for ``num_items``, the data's) of each field in ``equal``,
+    and at least that of ``other`` for each ``(field, other)`` in ``at_least``."""
+    for name, other, fits in ([(n, n, operator.eq) for n in equal]
+                              + [(n, o, operator.ge) for n, o in at_least]):
+        value, where = ((ds.num_items, f"the data in {data_dir}") if other == "num_items"
+                        else (getattr(config, other), "the config"))
+        if not fits(trained[name], value):
+            raise ValueError(f"{model_dir} was trained with {name}={trained[name]!r}, "
+                             f"but {where} has {other}={value!r}")
 
 
 def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=None,
@@ -178,30 +172,20 @@ def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=No
         if config.strategy in ("diffusion_cg", "diffusion_cf"):
             if diffusion_dir is None:
                 raise ValueError(f"strategy {config.strategy} needs --model (train-diffusion output)")
-            model, meta = load_diffusion_model(diffusion_dir)
-            _check_checkpoint(meta["config"], config, diffusion_dir)
+            model, trained = load_diffusion_model(diffusion_dir)
+            _refuse_unshared(diffusion_dir, trained, config, data_dir, ds, _SAMPLED_WITH
+                             + (("strategy",) if config.strategy == "diffusion_cf" else ()))
         if config.strategy == "diffusion_cg":
             if classifier_dir is None:
                 raise ValueError("strategy diffusion_cg needs --classifier (train-srs output)")
-            classifier = _load_recommender(classifier_dir, "--classifier", reverse=False)
+            classifier, trained = _load_model(classifier_dir, "train-srs", "--classifier")
+            _refuse_unshared(classifier_dir, trained, config, data_dir, ds, _SCORED_WITH,
+                             at_least=[("srs_max_len", "M")])
         if config.strategy == "reverse_gen":
             if reverse_dir is None:
                 raise ValueError("strategy reverse_gen needs --reverse-model (train-srs --role reverse output)")
-            reverse_model = _load_recommender(reverse_dir, "--reverse-model", reverse=True)
-        # every data item id indexes the model's item table (row 0 is padding)
-        for model_dir, m in zip((diffusion_dir, classifier_dir, reverse_dir),
-                                (model, classifier, reverse_model)):
-            if m is not None and m.item_emb.shape[0] - 1 != ds.num_items:
-                raise ValueError(f"{model_dir} holds a model of {m.item_emb.shape[0] - 1} items, "
-                                 f"but the data in {data_dir} has {ds.num_items} items")
-        # the classifier scores the M sampled positions as one row
-        if classifier is not None and classifier.config.max_len < config.M:
-            raise ValueError(f"recommender in {classifier_dir} has max_len={classifier.config.max_len}, "
-                             f"but --classifier must score rows of M={config.M} items")
-        if classifier is not None and classifier.config.embed_dim != model.config.embed_dim:
-            raise ValueError(f"recommender in {classifier_dir} has embed_dim={classifier.config.embed_dim}, "
-                             f"but --classifier must score the diffusion model's embed_dim="
-                             f"{model.config.embed_dim} states")
+            reverse_model, trained = _load_model(reverse_dir, "train-srs", "--reverse-model", reverse=True)
+            _refuse_unshared(reverse_dir, trained, config, data_dir, ds, ("num_items",))
         augmented = aug_mod.augment_dataset(ds, config, model=model, reverse_model=reverse_model,
                                             classifier=classifier)
         aug_mod.emit(augmented, out_dir, item_vocab=ds.item_vocab or None)
@@ -215,13 +199,11 @@ def run_evaluate(config, model_dir, data_dir, raw_data_dir, out_dir, target="tes
     negatives and user groups."""
     with _stage("evaluate", config, out_dir, model=os.path.abspath(model_dir),
                 data=os.path.abspath(data_dir)):
-        model = _load_recommender(model_dir, "evaluate", reverse=False)
+        model, trained = _load_model(model_dir, "train-srs", "evaluate")
         train_ds = load_dataset_dir(data_dir)
         raw_ds = load_dataset_dir(raw_data_dir)
-        for name, path, ds in (("data", data_dir, train_ds), ("raw data", raw_data_dir, raw_ds)):
-            if model.config.num_items < ds.num_items:
-                raise ValueError(f"recommender in {model_dir} has num_items={model.config.num_items}, "
-                                 f"but the {name} in {path} has num_items={ds.num_items}")
+        for path, ds in ((data_dir, train_ds), (raw_data_dir, raw_ds)):
+            _refuse_unshared(model_dir, trained, config, path, ds, at_least=[("num_items", "num_items")])
         missing = len(train_ds.users.keys() - raw_ds.users.keys())
         if missing:
             raise ValueError(f"the raw data in {raw_data_dir} lacks {missing} of the "

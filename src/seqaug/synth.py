@@ -20,18 +20,17 @@ def transition_probability(cur, nxt, num_items):
     return dict(zip(succ, SUCCESSOR_PROBS)).get(nxt, 0.0)
 
 
-def _draw_length(rng, min_len, max_len, scale):
-    # exponential tail shifted to min_len, clipped to max_len
-    return min(min_len + int(rng.exponential(scale)), max_len)
+def _draw_length(rng):
+    # exponential tail of scale 6 shifted to 3 items, clipped to 40
+    return min(3 + int(rng.exponential(6.0)), 40)
 
 
-def generate_interactions(num_users=500, num_items=50, seed=1, min_len=3, max_len=40,
-                          length_scale=6.0):
+def generate_interactions(num_users=500, num_items=50, seed=1):
     """Rows of (user, item, timestamp); timestamps are the walk positions."""
     rows = []
     for user in range(1, num_users + 1):
         rng = seed_stream(seed, "synth", user)
-        length = _draw_length(rng, min_len, max_len, length_scale)
+        length = _draw_length(rng)
         item = int(rng.integers(1, num_items + 1))
         for pos in range(length):
             rows.append((user, item, pos))

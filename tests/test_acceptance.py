@@ -82,7 +82,7 @@ def _sample_augmentations(env, model, gamma, seed):
         chunk = users[start:start + acfg.sample_batch]
         raws = [env.ds.users[u][:-1] for u in chunk]
         x = dm.sample(model, raws, acfg.M, gamma, sched, seed=seed, user_keys=chunk)
-        ids, _ = dm.round_to_items(x, model.item_emb.data, forbid_padding=True)
+        ids, _ = dm.round_to_items(x, model.item_emb.data)
         for i, u in enumerate(chunk):
             out[u] = [int(v) for v in ids[i]]
     return out
@@ -211,7 +211,7 @@ def test_05_rounding_oracle():
     rng = np.random.default_rng(7)
     table = np.vstack([np.zeros(8), rng.standard_normal((50, 8))])
     x = rng.standard_normal((100, 1, 8))
-    ids, fallbacks = dm.round_to_items(x, table, forbid_padding=True)
+    ids, fallbacks = dm.round_to_items(x, table)
     exact = True
     for i in range(100):
         sims = [x[i, 0] @ table[v] / (np.linalg.norm(x[i, 0]) * np.linalg.norm(table[v]))
@@ -219,7 +219,7 @@ def test_05_rounding_oracle():
         exact &= ids[i, 0] == int(np.argmax(sims)) + 1
     table2 = table.copy()
     table2[13] *= 7.5
-    ids2, _ = dm.round_to_items(x, table2, forbid_padding=True)
+    ids2, _ = dm.round_to_items(x, table2)
     rescale_ok = np.array_equal(ids, ids2)
     ok = exact and rescale_ok and fallbacks == 0
     check(5, "rounding oracle", ok,

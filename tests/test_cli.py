@@ -182,6 +182,16 @@ def test_sweep_refuses_m_together_with_gamma(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("flag, value, kind", [("--M", "4,x", "int"), ("--gamma", "1,b", "float"),
+                                              ("--seeds", "a", "int")])
+def test_sweep_refuses_a_list_value_of_the_wrong_type(tmp_path, capsys, flag, value, kind):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("sweep", "--data", str(tmp_path), "--out", str(tmp_path / "s"), flag, value)
+    assert exit_.value.code == 2
+    assert f"argument {flag}: invalid comma-separated {kind} value: '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweep_refuses_a_negative_gamma(tmp_path, capsys):
     code = run_cli("sweep", "--data", str(tmp_path), "--out", str(tmp_path / "s"), "--gamma", "-3")
     assert code == 2

@@ -412,6 +412,6 @@ def test_rounding_tie_breaks_to_smallest_id():
 def test_rounding_forbid_padding_flag():
     table = np.array([[1.0, 0.0], [0.0, 1.0]])
     x = np.array([[[2.0, 0.1]]])
-    with_pad, _ = dm.round_to_items(x, table, forbid_padding=False)
-    without, _ = dm.round_to_items(x, table, forbid_padding=True)
-    assert with_pad[0, 0] == 0 and without[0, 0] == 1
+    # row 0, the padding item, is the nearest but is never chosen
+    ids, _ = dm.round_to_items(x, table)
+    assert ids[0, 0] == 1

@@ -1,12 +1,14 @@
 """Stage-level contracts of ``pipeline``: each stage computes at its
 configured precision without changing the caller's, augmentation and
 evaluation refuse a checkpoint trained with other settings, for another
-role, catalogue or stage, and every stage directory holds one manifest."""
+role, catalogue or stage, from an older version or with a corrupt manifest,
+and every stage directory holds one manifest."""
 
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,8 +138,8 @@ def test_classifier_guidance_refuses_a_classifier_narrower_than_M(stages, tmp_pa
     narrow = str(tmp_path / "narrow")
     pipeline.run_train_srs(replace(cfg, srs_embed_dim=16, srs_max_len=1), raw, narrow, role="classifier")
     guided = replace(cfg, strategy="diffusion_cg", srs_embed_dim=16).validate()
-    with pytest.raises(ValueError, match=f"recommender in {re.escape(narrow)} has max_len=1, "
-                                         "but --classifier must score rows of M=2 items"):
+    with pytest.raises(ValueError, match=f"{re.escape(narrow)} was trained with srs_max_len=1, "
+                                         "but the config has M=2"):
         pipeline.run_augment(guided, raw, str(tmp_path / "aug"), diffusion_dir=models["diffusion_cg"],
                              classifier_dir=narrow)
     assert os.listdir(tmp_path / "aug") == []
@@ -146,8 +148,8 @@ def test_classifier_guidance_refuses_a_classifier_narrower_than_M(stages, tmp_pa
 def test_classifier_guidance_refuses_a_classifier_of_another_width(stages, tmp_path):
     cfg, raw, models = stages
     guided = replace(cfg, strategy="diffusion_cg", srs_embed_dim=16).validate()
-    with pytest.raises(ValueError, match=f"recommender in {re.escape(models['backbone'])} has embed_dim=8, "
-                                         "but --classifier must score the diffusion model's embed_dim=16 states"):
+    with pytest.raises(ValueError, match=f"{re.escape(models['backbone'])} was trained with srs_embed_dim=8, "
+                                         "but the config has srs_embed_dim=16"):
         pipeline.run_augment(guided, raw, str(tmp_path / "aug"), diffusion_dir=models["diffusion_cg"],
                              classifier_dir=models["backbone"])
     assert os.listdir(tmp_path / "aug") == []
@@ -167,13 +169,13 @@ def test_evaluate_refuses_a_model_with_a_smaller_catalogue(stages, tmp_path):
     small_raw = str(tmp_path / "small")
     pipeline.run_preprocess(small, pipeline.run_synth(small, small_raw), small_raw)
     pipeline.run_train_srs(small, small_raw, str(tmp_path / "small-model"))
-    with pytest.raises(ValueError, match=f"{re.escape(str(tmp_path / 'small-model'))} has num_items=8, "
-                                         f"but the raw data in {re.escape(raw)} has num_items=12"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(tmp_path / 'small-model'))} was trained with "
+                                         f"num_items=8, but the data in {re.escape(raw)} has num_items=12"):
         pipeline.run_evaluate(cfg, str(tmp_path / "small-model"), small_raw, raw,
                               str(tmp_path / "report"))
     # the data it is scored on, not only the raw histories, must fit its item table
-    with pytest.raises(ValueError, match=f"{re.escape(str(tmp_path / 'small-model'))} has num_items=8, "
-                                         f"but the data in {re.escape(raw)} has num_items=12"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(tmp_path / 'small-model'))} was trained with "
+                                         f"num_items=8, but the data in {re.escape(raw)} has num_items=12"):
         pipeline.run_evaluate(cfg, str(tmp_path / "small-model"), raw, small_raw,
                               str(tmp_path / "report"))
     assert os.listdir(tmp_path / "report") == []
@@ -216,8 +218,7 @@ def test_cli_refuses_a_checkpoint_of_another_kind(stages, tmp_path, capsys, case
         "diffusion-as-evaluated": (["evaluate", "--model", models["diffusion_cf"], "--raw-data", raw],
                                    models["diffusion_cf"], srs_wanted),
         "diffusion-without-config": (["augment", "--model", str(old)], str(old),
-                                     "a train-diffusion checkpoint from an older version with no "
-                                     "'config' in its meta; retrain it"),
+                                     "a checkpoint from an older version; retrain it"),
         "diffusion-without-condition": (["augment", "--model", str(mean_only)], str(mean_only),
                                         "a train-diffusion checkpoint conditioned on the sequence "
                                         "mean alone, not on mean+lead; retrain it"),
@@ -240,14 +241,9 @@ def test_cli_refuses_a_model_built_for_another_catalogue(stages, tmp_path, capsy
     pipeline.run_preprocess(wide, pipeline.run_synth(wide, wide_raw), wide_raw)
     num_items = (pipeline.load_dataset_dir(raw).num_items, pipeline.load_dataset_dir(wide_raw).num_items)
     assert num_items[0] < num_items[1]
-    if trained == "backbone":
-        command = ["evaluate", "--raw-data", raw]
-        refusal = (f"recommender in {models[trained]} has num_items={num_items[0]}, "
-                   f"but the data in {wide_raw} has num_items={num_items[1]}")
-    else:
-        command = ["augment"]
-        refusal = (f"{models[trained]} holds a model of {num_items[0]} items, "
-                   f"but the data in {wide_raw} has {num_items[1]} items")
+    command = ["evaluate", "--raw-data", raw] if trained == "backbone" else ["augment"]
+    refusal = (f"{models[trained]} was trained with num_items={num_items[0]}, "
+               f"but the data in {wide_raw} has num_items={num_items[1]}")
     sizes = [arg for key, value in SIZES.items() for arg in ("--set", f"{key}={value}")]
     code = main([*command, *sizes, "--set", f"strategy={strategy}", flag, models[trained],
                  "--data", wide_raw, "--out", str(tmp_path / "out")])
@@ -256,16 +252,68 @@ def test_cli_refuses_a_model_built_for_another_catalogue(stages, tmp_path, capsy
 
 
 def test_cli_refuses_a_classifier_of_another_width(stages, tmp_path, capsys):
-    """A classifier trained at the config's srs_embed_dim, 8, beside a diffusion model
-    trained at embed_dim 16: the refusal names --classifier and both widths."""
+    """A classifier trained at srs_embed_dim 8, beside a diffusion model trained at
+    embed_dim 16: the refusal names the classifier's directory and both widths."""
     _, raw, models = stages
     sizes = [arg for key, value in SIZES.items() for arg in ("--set", f"{key}={value}")]
     code = main(["augment", *sizes, "--set", "strategy=diffusion_cg", "--set", "srs_embed_dim=16",
                  "--set", "gamma=1", "--model", models["diffusion_cg"], "--classifier", models["backbone"],
                  "--data", raw, "--out", str(tmp_path / "out")])
     assert (code, capsys.readouterr().err) == (
-        1, f"error: recommender in {models['backbone']} has embed_dim=8, but --classifier must "
-           "score the diffusion model's embed_dim=16 states\n")
+        1, f"error: {models['backbone']} was trained with srs_embed_dim=8, but the config has "
+           "srs_embed_dim=16\n")
+
+
+@pytest.mark.parametrize("case", ["diffusion-meta", "recommender-meta", "unknown-config-field"])
+def test_cli_refuses_a_checkpoint_from_an_older_version(stages, tmp_path, capsys, case):
+    """The metas written before checkpoints carried their stage and RunConfig, and a
+    config with a field RunConfig does not have, get the retrain line."""
+    cfg, raw, models = stages
+    arrays, meta = load_checkpoint(os.path.join(models["backbone" if case == "recommender-meta"
+                                                        else "diffusion_cf"], "model.ckpt"))
+    command = ["augment", "--model"]
+    if case == "diffusion-meta":
+        meta = {"net_config": asdict(cfg.sunet_config()), "num_items": meta["num_items"],
+                "config": meta["config"], "condition": meta["condition"]}
+    elif case == "recommender-meta":
+        meta = {"srs_config": asdict(cfg.srs_config(meta["num_items"])), "role": meta["role"]}
+        command = ["evaluate", "--raw-data", raw, "--model"]
+    else:
+        meta["config"]["no_such_knob"] = 1
+    old = tmp_path / "old"
+    old.mkdir()
+    save_checkpoint(old / "model.ckpt", arrays, meta=meta)
+    sizes = [arg for key, value in SIZES.items() for arg in ("--set", f"{key}={value}")]
+    code = main([command[0], *sizes, *command[1:], str(old), "--data", raw, "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: {old} holds a checkpoint from an older version; retrain it\n")
+
+
+def _flip_first_nbytes(data):
+    at = data.index(b'"nbytes": ') + len(b'"nbytes": ')
+    return data[:at] + (b"2" if data[at:at + 1] == b"1" else b"1") + data[at + 1:]
+
+
+@pytest.mark.parametrize("corrupt, problem", [
+    (lambda data: data.replace(b'"arrays"', b'"ar}ays"'), "corrupt manifest (KeyError: 'arrays')"),
+    (lambda data: data.replace(b'"meta"', b'"m\xffta"'), "corrupt manifest (UnicodeDecodeError: "),
+    (_flip_first_nbytes, "bytes, but shape"),
+], ids=["key", "non-utf8", "nbytes"])
+def test_cli_refuses_a_corrupt_checkpoint_manifest(stages, tmp_path, capsys, corrupt, problem):
+    """A flipped byte that keeps the manifest's length: evaluate exits 1 with one line
+    naming the file, and no traceback."""
+    _, raw, models = stages
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    data = (Path(models["backbone"]) / "model.ckpt").read_bytes()
+    (bad / "model.ckpt").write_bytes(corrupt(data))
+    assert (bad / "model.ckpt").stat().st_size == len(data)
+    sizes = [arg for key, value in SIZES.items() for arg in ("--set", f"{key}={value}")]
+    code = main(["evaluate", *sizes, "--model", str(bad), "--data", raw, "--raw-data", raw,
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: {bad / 'model.ckpt'}: ") and problem in err
 
 
 # the files each stage writes beside its manifest.json
@@ -290,7 +338,9 @@ def test_every_stage_directory_holds_one_manifest(stages, tmp_path, strategy):
                               parse_constant=_refuse_non_finite)
         assert manifest["config"] == cfg.to_dict()
         assert set(os.listdir(stage_dir)) == STAGE_FILES[manifest["stage"]] | {"manifest.json"}
+        if (stage_dir / "model.ckpt").exists():
+            _, meta = load_checkpoint(stage_dir / "model.ckpt")
+            extra = {"train-diffusion": "condition", "train-srs": "role"}[manifest["stage"]]
+            assert meta.keys() == {"stage", "config", "num_items", extra}
+            assert meta["stage"] == manifest["stage"] and meta["config"] == cfg.to_dict()
     assert not list(tmp_path.rglob("run_manifest.json"))
-    if strategy.startswith("diffusion"):
-        _, meta = load_checkpoint(run / "diffusion-model" / "model.ckpt")
-        assert meta["config"] == cfg.to_dict()
