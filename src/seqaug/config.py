@@ -151,11 +151,15 @@ def _coerce(name, raw, target_type):
         raise ConfigError([f"{name}: expected {target_type.__name__}, got {raw!r}"]) from None
 
 
+def field_types():
+    """Each RunConfig field's name and the type its values are coerced to."""
+    return {f.name: f.type if isinstance(f.type, type) else type(f.default) for f in fields(RunConfig)}
+
+
 def load_config(path=None, overrides=None):
     """Config from an optional key=value file plus override pairs; overrides win."""
     values = {}
-    types = {f.name: f.type if isinstance(f.type, type) else type(f.default)
-             for f in fields(RunConfig)}
+    types = field_types()
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
             for line_no, line in enumerate(f, start=1):

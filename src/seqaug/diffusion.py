@@ -12,32 +12,19 @@ from .numerics import Tensor, seed_stream
 
 
 def forward_sample(x0, t, eps, sched):
-    """Closed-form q(x_t | x_0): sqrt(ab_t) x0 + sqrt(1-ab_t) eps.
-
-    Works on arrays and on graph Tensors (used inside the training loss);
-    ``t`` may be an int or a per-row int array matching x0's first axis.
-    """
+    """Closed-form q(x_t | x_0): sqrt(ab_t) x0 + sqrt(1-ab_t) eps, as a graph Tensor
+    (the training loss's); ``t`` may be an int or a per-row int array matching
+    x0's first axis."""
     t_arr = np.asarray(t)
     if not (np.all(t_arr >= 1) and np.all(t_arr <= sched.T)):
         raise ValueError(f"t={t} out of range [1, {sched.T}]")
-    ab = sched.alpha_bar[t_arr - 1]
-    a = np.sqrt(ab)
-    b = np.sqrt(1.0 - ab)
-    x0_shape = x0.shape if isinstance(x0, Tensor) else np.shape(x0)
-    eps_shape = eps.shape if isinstance(eps, Tensor) else np.shape(eps)
-    if x0_shape != eps_shape:
-        raise nd.ShapeError(f"x0 shape {x0_shape} does not match eps shape {eps_shape}")
-    if t_arr.ndim > 0:
-        extra = (1,) * (len(x0_shape) - 1)
-        a = a.reshape(t_arr.shape + extra)
-        b = b.reshape(t_arr.shape + extra)
-    if isinstance(x0, Tensor) or isinstance(eps, Tensor):
-        x0t, epst = nd.as_tensor(x0), nd.as_tensor(eps)
-        a = np.asarray(a, dtype=x0t.dtype)
-        b = np.asarray(b, dtype=x0t.dtype)
-        return nd.add(nd.mul(x0t, a), nd.mul(epst, b))
-    x0 = np.asarray(x0)
-    return (a * x0 + b * np.asarray(eps)).astype(x0.dtype, copy=False)
+    x0, eps = nd.as_tensor(x0), nd.as_tensor(eps)
+    if x0.shape != eps.shape:
+        raise nd.ShapeError(f"x0 shape {x0.shape} does not match eps shape {eps.shape}")
+    ab = sched.alpha_bar[t_arr - 1].reshape(t_arr.shape + (1,) * (x0.ndim - t_arr.ndim))
+    a = np.sqrt(ab).astype(x0.dtype)
+    b = np.sqrt(1.0 - ab).astype(x0.dtype)
+    return nd.add(nd.mul(x0, a), nd.mul(eps, b))
 
 
 def iterated_forward(x0, t, sched, rng):

@@ -19,7 +19,7 @@ import os
 from . import augment as aug_mod
 from . import diffusion, srs, synth
 from . import numerics as nd
-from .config import RunConfig
+from .config import RunConfig, field_types
 from .dataset import (leave_one_out_split, load_interactions, load_sequences, load_vocab,
                       save_json, save_sequences, save_vocab)
 from .evaluation import average_reports, compare, evaluate
@@ -95,11 +95,12 @@ def run_train_diffusion(config, data_dir, out_dir, log=None):
 def _load_model(model_dir, stage, needed_by=None, reverse=False):
     """``(model, trained)``: the ``stage`` model in ``model_dir``, built from the
     RunConfig in its meta, and that config's fields plus ``num_items``. A
-    train-srs model must have role 'reverse' exactly when ``reverse``."""
+    train-srs model must have role 'reverse' exactly when ``reverse``. Each value
+    must have its field's type; an int passes for a float, a bool only for a bool."""
     arrays, meta = nd.checkpoint.load_checkpoint(os.path.join(model_dir, "model.ckpt"))
-    config = meta.get("config")
+    config, types = meta.get("config"), field_types()
     if not ({"stage", "num_items"} <= meta.keys() and isinstance(config, dict)
-            and config.keys() == RunConfig().to_dict().keys()):
+            and config.keys() == types.keys()):
         raise ValueError(f"{model_dir} holds a checkpoint from an older version; retrain it")
     if meta["stage"] != stage:
         raise ValueError(f"{model_dir} holds a {meta['stage']} checkpoint, but a {stage} one is needed")
@@ -111,12 +112,17 @@ def _load_model(model_dir, stage, needed_by=None, reverse=False):
         need = "'reverse'" if reverse else "'backbone' or 'classifier'"
         raise ValueError(f"recommender in {model_dir} has role={meta.get('role')!r}, "
                          f"but {needed_by} needs role {need}")
-    trained = RunConfig(**config)
-    model = (SUNet(trained.sunet_config(), meta["num_items"], seed_stream(0, "sunet-load"))
+    trained = {**config, "num_items": meta["num_items"]}
+    for name, kind in {**types, "num_items": int}.items():
+        if (isinstance(value := trained[name], bool) != (kind is bool)
+                or not isinstance(value, (int, float) if kind is float else kind)):
+            raise ValueError(f"{model_dir} holds a checkpoint whose config has {name}={value!r}; retrain it")
+    run = RunConfig(**config)
+    model = (SUNet(run.sunet_config(), meta["num_items"], seed_stream(0, "sunet-load"))
              if stage == "train-diffusion" else
-             SrsModel(trained.srs_config(meta["num_items"]), seed_stream(0, "srs-load")))
+             SrsModel(run.srs_config(meta["num_items"]), seed_stream(0, "srs-load")))
     model.load_state_arrays(arrays)
-    return model, {**config, "num_items": meta["num_items"]}
+    return model, trained
 
 
 def load_diffusion_model(model_dir):

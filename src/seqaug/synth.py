@@ -26,16 +26,17 @@ def _draw_length(rng):
 
 
 def generate_interactions(num_users=500, num_items=50, seed=1):
-    """Rows of (user, item, timestamp); timestamps are the walk positions."""
+    """Rows of (user, item, timestamp); timestamps are the walk positions. Each user's
+    ``seed_stream(seed, "synth", user)`` draws the length, the first item, then all the
+    successor picks in one ``choice`` call, which reads one uniform per pick, as a call per pick does."""
     rows = []
     for user in range(1, num_users + 1):
         rng = seed_stream(seed, "synth", user)
         length = _draw_length(rng)
         item = int(rng.integers(1, num_items + 1))
-        for pos in range(length):
+        for pos, pick in enumerate(rng.choice(3, size=length, p=SUCCESSOR_PROBS).tolist()):
             rows.append((user, item, pos))
-            succ = successors(item, num_items)
-            item = int(succ[rng.choice(3, p=SUCCESSOR_PROBS)])
+            item = successors(item, num_items)[pick]
     return rows
 
 

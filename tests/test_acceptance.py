@@ -122,8 +122,8 @@ def test_02_forward_marginal_equivalence():
     n = 100_000
     batch = np.broadcast_to(x0, (n,) + x0.shape)
     iterated = dm.iterated_forward(batch, 10, sched, rng)
-    closed = dm.forward_sample(batch.astype(np.float64), 10,
-                               rng.standard_normal(batch.shape), sched)
+    closed = dm.forward_sample(Tensor(batch.astype(np.float64)), 10,
+                               Tensor(rng.standard_normal(batch.shape)), sched).data
     mean_diff = np.abs(iterated.mean(axis=0) - closed.mean(axis=0))
     mean_se = np.sqrt(iterated.var(axis=0) / n + closed.var(axis=0) / n)
     va, vb = iterated.var(axis=0), closed.var(axis=0)

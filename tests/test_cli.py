@@ -9,6 +9,7 @@ from seqaug import synth
 from seqaug.cli import main
 from seqaug.config import ConfigError, RunConfig, load_config
 from seqaug.dataset import load_interactions
+from seqaug.numerics import seed_stream
 
 
 def run_cli(*args):
@@ -72,6 +73,28 @@ def test_synth_deterministic_rows():
     c = synth.generate_interactions(num_users=30, num_items=20, seed=2)
     assert a == b
     assert a != c
+
+
+def _per_step_walk(num_users, num_items, seed):
+    """The walk with one successor draw per step, the form the synthetic
+    data's bytes were first made with."""
+    rows = []
+    for user in range(1, num_users + 1):
+        rng = seed_stream(seed, "synth", user)
+        length = min(3 + int(rng.exponential(6.0)), 40)
+        item = int(rng.integers(1, num_items + 1))
+        for pos in range(length):
+            rows.append((user, item, pos))
+            item = int(synth.successors(item, num_items)[rng.choice(3, p=synth.SUCCESSOR_PROBS)])
+    return rows
+
+
+@pytest.mark.parametrize("num_users, num_items, seed", [
+    (500, 50, 1), (500, 50, 2), (500, 50, 3), (60, 1, 1), (60, 2, 1), (60, 3, 1),
+    (50, 12000, 1), (30, 20, 1)])
+def test_synth_walk_equals_the_per_step_reference(num_users, num_items, seed):
+    assert synth.generate_interactions(num_users, num_items, seed) == \
+        _per_step_walk(num_users, num_items, seed)
 
 
 def test_synth_transitions_respect_band():

@@ -41,27 +41,27 @@ class StubPredictor:
 
 def test_forward_sample_zero_noise_limit(sched):
     x0 = np.ones((2, 3))
-    xt = dm.forward_sample(x0, 4, np.zeros((2, 3)), sched)
+    xt = dm.forward_sample(Tensor(x0), 4, Tensor(np.zeros((2, 3))), sched).data
     np.testing.assert_allclose(xt, np.sqrt(sched.alpha_bar[3]) * x0, atol=1e-15)
 
 
 def test_forward_sample_direct_formula():
     # alpha_bar = 0.25 at t=2 for beta = (0.5, 0.5)
     sched = make_schedule("linear", 2, 0.5, 0.5)
-    xt = dm.forward_sample(np.ones((2, 2)), 2, np.ones((2, 2)), sched)
+    xt = dm.forward_sample(Tensor(np.ones((2, 2))), 2, Tensor(np.ones((2, 2))), sched).data
     np.testing.assert_allclose(xt, np.full((2, 2), 0.5 + np.sqrt(0.75)), atol=1e-12)
 
 
 def test_forward_sample_shape_mismatch(sched):
     with pytest.raises(nd.ShapeError):
-        dm.forward_sample(np.ones((2, 3)), 1, np.ones((3, 2)), sched)
+        dm.forward_sample(Tensor(np.ones((2, 3))), 1, Tensor(np.ones((3, 2))), sched)
 
 
 def test_forward_sample_t_out_of_range(sched):
     with pytest.raises(ValueError):
-        dm.forward_sample(np.ones(2), 11, np.ones(2), sched)
+        dm.forward_sample(Tensor(np.ones(2)), 11, Tensor(np.ones(2)), sched)
     with pytest.raises(ValueError):
-        dm.forward_sample(np.ones(2), 0, np.ones(2), sched)
+        dm.forward_sample(Tensor(np.ones(2)), 0, Tensor(np.ones(2)), sched)
 
 
 def test_forward_moments_match_monte_carlo(sched):
@@ -86,8 +86,8 @@ def test_iterated_chain_matches_closed_form_marginal(sched):
     n = 100_000
     t = 10
     iterated = dm.iterated_forward(np.broadcast_to(x0, (n,) + x0.shape), t, sched, rng)
-    closed = dm.forward_sample(np.broadcast_to(x0, (n,) + x0.shape), t,
-                               rng.standard_normal((n,) + x0.shape), sched)
+    closed = dm.forward_sample(Tensor(np.broadcast_to(x0, (n,) + x0.shape)), t,
+                               Tensor(rng.standard_normal((n,) + x0.shape)), sched).data
     for draws_a, draws_b in ((iterated, closed),):
         diff_mean = draws_a.mean(axis=0) - draws_b.mean(axis=0)
         se = np.sqrt(draws_a.var(axis=0) / n + draws_b.var(axis=0) / n)

@@ -289,6 +289,28 @@ def test_cli_refuses_a_checkpoint_from_an_older_version(stages, tmp_path, capsys
         1, f"error: {old} holds a checkpoint from an older version; retrain it\n")
 
 
+@pytest.mark.parametrize("field, value, refused", [
+    ("srs_max_len", "8", True), ("srs_dropout", "0.6", True), ("gamma", "x", True),
+    ("srs_blocks", True, True), ("num_items", 12.0, True),
+    ("gamma", 1, False)])  # dataclasses.replace(cfg, gamma=1) leaves an int in a float field
+def test_cli_checks_the_type_of_each_checkpoint_config_value(stages, tmp_path, capsys, field, value,
+                                                            refused):
+    """A hand-edited backbone meta: evaluate refuses a value of the wrong type with
+    one line, not a traceback from the model builder or a silent load."""
+    _, raw, models = stages
+    arrays, meta = load_checkpoint(os.path.join(models["backbone"], "model.ckpt"))
+    (meta if field == "num_items" else meta["config"])[field] = value
+    edited = tmp_path / "edited"
+    edited.mkdir()
+    save_checkpoint(edited / "model.ckpt", arrays, meta=meta)
+    sizes = [arg for key, v in SIZES.items() for arg in ("--set", f"{key}={v}")]
+    code = main(["evaluate", *sizes, "--model", str(edited), "--data", raw, "--raw-data", raw,
+                 "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == ((
+        1, f"error: {edited} holds a checkpoint whose config has {field}={value!r}; retrain it\n")
+        if refused else (0, ""))
+
+
 def _flip_first_nbytes(data):
     at = data.index(b'"nbytes": ') + len(b'"nbytes": ')
     return data[:at] + (b"2" if data[at:at + 1] == b"1" else b"1") + data[at + 1:]
