@@ -123,7 +123,7 @@ def _run(args):
                                          diffusion_dir=args.model,
                                          classifier_dir=args.classifier,
                                          reverse_dir=args.reverse_model)
-        print(f"augmented {len(augmented.entries)} users with strategy {config.strategy}")
+        print(f"augmented {augmented.num_users} users with strategy {config.strategy}")
     elif args.command == "evaluate":
         report = pipeline.run_evaluate(config, args.model, args.data, args.raw_data,
                                        args.out, target=args.target)

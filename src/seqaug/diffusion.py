@@ -193,15 +193,13 @@ def sample(model, raw_seqs, M, gamma, sched, seed, user_keys=None, classifier=No
 
 
 def round_to_items(x0_hat, table):
-    """Nearest item per generated row by cosine similarity, never row 0 (padding).
+    """``(ids, zero_rows)``: for generated states ``x0_hat`` of shape (B, M, d),
+    the (B, M) nearest items by cosine similarity, never row 0 (padding).
 
     Ties break toward the smallest item id; a zero-norm generated row falls
-    back to a plain dot-product argmax and is counted in the returned stats.
+    back to a plain dot-product argmax and is counted in ``zero_rows``.
     """
     x = np.asarray(x0_hat)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
     table = np.asarray(table)
     if table.size == 0:
         raise ValueError("empty embedding table")
@@ -218,7 +216,4 @@ def round_to_items(x0_hat, table):
     sims = dots / np.where(zero_rows, 1.0, row_norms)[:, None]
     scores = np.where(zero_rows[:, None], flat @ cand.T, sims)
     ids = scores.argmax(axis=1) + 1
-    ids = ids.reshape(b, m)
-    if squeeze:
-        ids = ids[0]
-    return ids, int(zero_rows.sum())
+    return ids.reshape(b, m), int(zero_rows.sum())

@@ -19,7 +19,7 @@ import os
 from . import augment as aug_mod
 from . import diffusion, srs, synth
 from . import numerics as nd
-from .config import RunConfig, field_types
+from .config import ConfigError, RunConfig, field_types
 from .dataset import (leave_one_out_split, load_interactions, load_sequences, load_vocab,
                       save_json, save_sequences, save_vocab)
 from .evaluation import average_reports, compare, evaluate
@@ -96,7 +96,8 @@ def _load_model(model_dir, stage, needed_by=None, reverse=False):
     """``(model, trained)``: the ``stage`` model in ``model_dir``, built from the
     RunConfig in its meta, and that config's fields plus ``num_items``. A
     train-srs model must have role 'reverse' exactly when ``reverse``. Each value
-    must have its field's type; an int passes for a float, a bool only for a bool."""
+    must have its field's type (an int passes for a float, a bool only for a bool),
+    and the config must pass ``RunConfig.validate``."""
     arrays, meta = nd.checkpoint.load_checkpoint(os.path.join(model_dir, "model.ckpt"))
     config, types = meta.get("config"), field_types()
     if not ({"stage", "num_items"} <= meta.keys() and isinstance(config, dict)
@@ -117,7 +118,11 @@ def _load_model(model_dir, stage, needed_by=None, reverse=False):
         if (isinstance(value := trained[name], bool) != (kind is bool)
                 or not isinstance(value, (int, float) if kind is float else kind)):
             raise ValueError(f"{model_dir} holds a checkpoint whose config has {name}={value!r}; retrain it")
-    run = RunConfig(**config)
+    try:
+        run = RunConfig(**config).validate()
+    except ConfigError as exc:
+        raise ValueError(f"{model_dir} holds a checkpoint whose config is invalid "
+                         f"({'; '.join(exc.problems)}); retrain it") from exc
     model = (SUNet(run.sunet_config(), meta["num_items"], seed_stream(0, "sunet-load"))
              if stage == "train-diffusion" else
              SrsModel(run.srs_config(meta["num_items"]), seed_stream(0, "srs-load")))
@@ -192,10 +197,9 @@ def run_augment(config, data_dir, out_dir, diffusion_dir=None, classifier_dir=No
                 raise ValueError("strategy reverse_gen needs --reverse-model (train-srs --role reverse output)")
             reverse_model, trained = _load_model(reverse_dir, "train-srs", "--reverse-model", reverse=True)
             _refuse_unshared(reverse_dir, trained, config, data_dir, ds, ("num_items",))
-        augmented = aug_mod.augment_dataset(ds, config, model=model, reverse_model=reverse_model,
-                                            classifier=classifier)
-        aug_mod.emit(augmented, out_dir, item_vocab=ds.item_vocab or None)
-        facts["zero_rows"] = augmented.zero_rows
+        augmented, facts["zero_rows"] = aug_mod.augment_dataset(
+            ds, config, model=model, reverse_model=reverse_model, classifier=classifier)
+        aug_mod.emit(augmented, out_dir)
     return augmented
 
 

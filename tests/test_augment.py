@@ -1,6 +1,7 @@
 import json
 import os
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from seqaug.augment import augment_dataset, emit, train_augmentor
 from seqaug.config import STRATEGIES, RunConfig
 from seqaug.dataset import (EmptyDiffusionSetError, InteractionDataset,
                             build_diffusion_training_set, leave_one_out_split,
-                            load_sequences, save_sequences)
+                            load_sequences, load_vocab, save_sequences)
 from seqaug.numerics import seed_stream
 from seqaug.numerics.checkpoint import load_checkpoint
 from seqaug.srs import SrsConfig, SrsModel, train_reverse
@@ -134,40 +135,47 @@ def test_train_augmentor_checkpoint_reproduces_loss(chain_ds, tmp_path):
     assert float(l1.data) == float(l2.data)
 
 
+def prefixes(ds, out):
+    """Each user's generated pre-order items in ``out``, after checking that
+    ``out`` holds the users of ``ds`` in order, each with their sequence last."""
+    assert list(out.users) == list(ds.users)
+    cut = {u: len(out.users[u]) - len(seq) for u, seq in ds.users.items()}
+    assert all(out.users[u][cut[u]:] == seq for u, seq in ds.users.items())
+    return {u: out.users[u][:cut[u]] for u in ds.users}
+
+
 def test_strategy_none_returns_dataset_unchanged(chain_ds):
-    out = augment_dataset(chain_ds, small_config(strategy="none"))
-    assert set(out.entries) == set(chain_ds.users)
-    for u, (aug, raw) in out.entries.items():
-        assert aug == [] and raw == chain_ds.users[u]
+    out, zero_rows = augment_dataset(chain_ds, small_config(strategy="none"))
+    assert out == chain_ds and list(out.users) == list(chain_ds.users) and zero_rows == 0
 
 
 def test_random_strategy_lengths_and_range(chain_ds):
-    out = augment_dataset(chain_ds, small_config(strategy="random", M=4))
-    for u, (aug, raw) in out.entries.items():
+    out, _ = augment_dataset(chain_ds, small_config(strategy="random", M=4))
+    assert out.num_items == chain_ds.num_items
+    for aug in prefixes(chain_ds, out).values():
         assert len(aug) == 4
         assert all(1 <= v <= chain_ds.num_items for v in aug)
-        assert len(aug) + len(raw) == len(chain_ds.users[u]) + 4
 
 
 def test_random_seq_single_item_support_repeats():
     ds = InteractionDataset(users={1: [7, 7, 7, 7]}, num_items=9)
-    out = augment_dataset(ds, small_config(strategy="random_seq", M=5))
-    assert out.entries[1][0] == [7, 7, 7, 7, 7]
+    out, _ = augment_dataset(ds, small_config(strategy="random_seq", M=5))
+    assert out.users == {1: [7] * 9}
 
 
 def test_random_seq_draws_from_own_sequence(chain_ds):
-    out = augment_dataset(chain_ds, small_config(strategy="random_seq", M=6))
-    for u, (aug, _) in out.entries.items():
+    out, _ = augment_dataset(chain_ds, small_config(strategy="random_seq", M=6))
+    for u, aug in prefixes(chain_ds, out).items():
         support = set(chain_ds.users[u][:-1])  # test item excluded by default
-        assert set(aug) <= support
+        assert len(aug) == 6 and set(aug) <= support
 
 
 def test_random_strategies_seed_determinism(chain_ds):
-    a = augment_dataset(chain_ds, small_config(strategy="random", seed=5))
-    b = augment_dataset(chain_ds, small_config(strategy="random", seed=5))
-    c = augment_dataset(chain_ds, small_config(strategy="random", seed=6))
-    assert a.entries == b.entries
-    assert a.entries != c.entries
+    a, _ = augment_dataset(chain_ds, small_config(strategy="random", seed=5))
+    b, _ = augment_dataset(chain_ds, small_config(strategy="random", seed=5))
+    c, _ = augment_dataset(chain_ds, small_config(strategy="random", seed=6))
+    assert a.users == b.users
+    assert a.users != c.users
 
 
 def test_reverse_gen_strategy(chain_ds):
@@ -175,21 +183,24 @@ def test_reverse_gen_strategy(chain_ds):
     rev = SrsModel(SrsConfig(num_items=chain_ds.num_items, embed_dim=16, blocks=1,
                              max_len=20, dropout=0.0), seed_stream(4, "rev"))
     train_reverse(rev, split, RunConfig(srs_epochs=3, srs_batch_size=32, seed=1))
-    out = augment_dataset(chain_ds, small_config(strategy="reverse_gen"), reverse_model=rev)
-    for u, (aug, _) in out.entries.items():
+    out, _ = augment_dataset(chain_ds, small_config(strategy="reverse_gen"), reverse_model=rev)
+    for aug in prefixes(chain_ds, out).values():
         assert len(aug) == 3
         assert all(1 <= v <= chain_ds.num_items for v in aug)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_every_strategy_validates_and_runs_or_names_its_model(chain_ds, strategy):
+def test_every_strategy_validates_and_runs_or_names_its_model(chain_ds, tmp_path, strategy):
+    """A strategy that needs a model is refused at the stage boundary, before
+    ``augment_dataset`` runs, with the command-line flag that names the model."""
     cfg = small_config(strategy=strategy)
     if strategy in ("none", "random", "random_seq"):
-        out = augment_dataset(chain_ds, cfg)
-        assert out.zero_rows == 0 and set(out.entries) == set(chain_ds.users)
+        out, zero_rows = augment_dataset(chain_ds, cfg)
+        assert zero_rows == 0 and list(out.users) == list(chain_ds.users)
     else:
-        with pytest.raises(ValueError, match=f"{strategy} needs a trained"):
-            augment_dataset(chain_ds, cfg)
+        save_sequences(chain_ds, tmp_path / "sequences.tsv")
+        with pytest.raises(ValueError, match=f"^strategy {strategy} needs --"):
+            pipeline.run_augment(cfg, str(tmp_path), str(tmp_path / "aug"))
 
 
 def test_diffusion_sampling_refuses_non_finite_samples(chain_ds, monkeypatch):
@@ -212,53 +223,34 @@ def test_diffusion_sampling_refuses_non_finite_samples(chain_ds, monkeypatch):
 def test_manifest_counts_zero_norm_rows(chain_ds, monkeypatch):
     cfg = small_config(diff_epochs=1)
     model, _ = train_augmentor(chain_ds, cfg)
-    assert augment_dataset(chain_ds, cfg, model=model).zero_rows == 0
+    assert augment_dataset(chain_ds, cfg, model=model)[1] == 0
     monkeypatch.setattr(am.diffusion, "sample",
                         lambda model, raws, M, *a, **kw: np.zeros((len(raws), M, 16)))
-    out = augment_dataset(chain_ds, cfg, model=model)
-    assert out.zero_rows == len(chain_ds.users) * cfg.M
-
-
-def test_reverse_gen_requires_model(chain_ds):
-    with pytest.raises(ValueError, match="reverse"):
-        augment_dataset(chain_ds, small_config(strategy="reverse_gen"))
-
-
-def test_diffusion_strategy_requires_model(chain_ds):
-    with pytest.raises(ValueError, match="diffusion"):
-        augment_dataset(chain_ds, small_config(strategy="diffusion_cf"))
-
-
-def test_classifier_guidance_requires_a_classifier(chain_ds):
-    cfg = small_config(strategy="diffusion_cg", diff_epochs=1)
-    model, _ = train_augmentor(chain_ds, cfg)
-    with pytest.raises(ValueError, match="diffusion_cg needs a pretrained classifier model"):
-        augment_dataset(chain_ds, cfg, model=model)
+    _, zero_rows = augment_dataset(chain_ds, cfg, model=model)
+    assert zero_rows == len(chain_ds.users) * cfg.M
 
 
 def test_diffusion_cf_end_to_end_contract(chain_ds):
     cfg = small_config(diff_epochs=2)
     model, _ = train_augmentor(chain_ds, cfg)
-    out = augment_dataset(chain_ds, cfg, model=model)
-    assert set(out.entries) == set(chain_ds.users)
-    for u, (aug, raw) in out.entries.items():
+    out, _ = augment_dataset(chain_ds, cfg, model=model)
+    for aug in prefixes(chain_ds, out).values():
         assert len(aug) == cfg.M
         assert all(1 <= v <= chain_ds.num_items for v in aug), "no padding id in augmentation"
-        assert raw == chain_ds.users[u]
 
 
 def test_diffusion_cf_batch_size_independent(chain_ds):
     cfg = small_config(diff_epochs=2)
     model, _ = train_augmentor(chain_ds, cfg)
-    one = augment_dataset(chain_ds, small_config(diff_epochs=2, sample_batch=7), model=model)
-    two = augment_dataset(chain_ds, small_config(diff_epochs=2, sample_batch=128), model=model)
-    assert one.entries == two.entries
+    one, _ = augment_dataset(chain_ds, small_config(diff_epochs=2, sample_batch=7), model=model)
+    two, _ = augment_dataset(chain_ds, small_config(diff_epochs=2, sample_batch=128), model=model)
+    assert one.users == two.users
 
 
 def test_short_only_flag(chain_ds):
     cfg = small_config(strategy="random", short_only=True)
-    out = augment_dataset(chain_ds, cfg)
-    for u, (aug, _) in out.entries.items():
+    out, _ = augment_dataset(chain_ds, cfg)
+    for u, aug in prefixes(chain_ds, out).items():
         if len(chain_ds.users[u]) <= 5:
             assert len(aug) == cfg.M
         else:
@@ -267,21 +259,24 @@ def test_short_only_flag(chain_ds):
 
 def test_emit_roundtrip_and_manifest(chain_ds, tmp_path):
     cfg = small_config(strategy="random", M=2)
-    out = augment_dataset(chain_ds, cfg)
     vocab = {100 + i: i for i in range(1, chain_ds.num_items + 1)}
-    seq_path = emit(out, tmp_path / "aug", item_vocab=vocab)
+    out, _ = augment_dataset(replace(chain_ds, item_vocab=vocab), cfg)
+    assert out.item_vocab == vocab
+    seq_path = emit(out, tmp_path / "aug")
     loaded = load_sequences(seq_path)
-    for u, (aug, raw) in out.entries.items():
-        assert loaded.users[u] == aug + raw
-        assert len(loaded.users[u]) == len(chain_ds.users[u]) + 2
+    assert loaded.users == out.users
+    assert all(len(loaded.users[u]) == len(seq) + 2 for u, seq in chain_ds.users.items())
+    assert load_vocab(tmp_path / "aug" / "vocab.tsv") == vocab
     # the stage's manifest.json is run_augment's to write
     assert sorted(os.listdir(tmp_path / "aug")) == ["sequences.tsv", "vocab.tsv"]
 
 
 def test_emit_same_schema_across_seeds(chain_ds, tmp_path):
     for seed in (1, 2):
-        out = augment_dataset(chain_ds, small_config(strategy="random", seed=seed))
+        out, _ = augment_dataset(chain_ds, small_config(strategy="random", seed=seed))
         emit(out, tmp_path / f"s{seed}")
+        # no raw-id mapping, no vocabulary sidecar
+        assert os.listdir(tmp_path / f"s{seed}") == ["sequences.tsv"]
     a = (tmp_path / "s1" / "sequences.tsv").read_text().splitlines()
     b = (tmp_path / "s2" / "sequences.tsv").read_text().splitlines()
     assert len(a) == len(b)

@@ -36,7 +36,9 @@ def stages(tmp_path_factory):
     models = {}
     for strategy in ("diffusion_cf", "diffusion_cg"):
         models[strategy] = os.path.join(root, strategy)
-        pipeline.run_train_diffusion(replace(cfg, strategy=strategy), raw, models[strategy])
+        # a valid diffusion_cg config gives the classifier the SU-Net's width
+        trained = replace(cfg, strategy=strategy, srs_embed_dim=cfg.embed_dim).validate()
+        pipeline.run_train_diffusion(trained, raw, models[strategy])
     for role in ("backbone", "reverse"):
         models[role] = os.path.join(root, role)
         pipeline.run_train_srs(cfg, raw, models[role], role=role)
@@ -251,6 +253,24 @@ def test_cli_refuses_a_model_built_for_another_catalogue(stages, tmp_path, capsy
     assert os.listdir(tmp_path / "out") == []
 
 
+@pytest.mark.parametrize("strategy, given, needed", [
+    ("diffusion_cf", (), "--model (train-diffusion output)"),
+    ("diffusion_cg", ("--model", "diffusion_cg"), "--classifier (train-srs output)"),
+    ("reverse_gen", (), "--reverse-model (train-srs --role reverse output)"),
+], ids=["diffusion_cf", "diffusion_cg", "reverse_gen"])
+def test_cli_augment_refuses_a_missing_model_flag(stages, tmp_path, capsys, strategy, given, needed):
+    """Each strategy that reads a model names the flag that is missing, in one
+    line, before it samples anything or writes a manifest."""
+    _, raw, models = stages
+    flags = [models.get(arg, arg) for arg in given]
+    sizes = [arg for key, value in SIZES.items() for arg in ("--set", f"{key}={value}")]
+    # srs_embed_dim 16 = embed_dim, as a valid diffusion_cg config needs
+    code = main(["augment", *sizes, "--set", f"strategy={strategy}", "--set", "srs_embed_dim=16",
+                 *flags, "--data", raw, "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (1, f"error: strategy {strategy} needs {needed}\n")
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_cli_refuses_a_classifier_of_another_width(stages, tmp_path, capsys):
     """A classifier trained at srs_embed_dim 8, beside a diffusion model trained at
     embed_dim 16: the refusal names the classifier's directory and both widths."""
@@ -297,6 +317,29 @@ def test_cli_checks_the_type_of_each_checkpoint_config_value(stages, tmp_path, c
                                                             refused):
     """A hand-edited backbone meta: evaluate refuses a value of the wrong type with
     one line, not a traceback from the model builder or a silent load."""
+    edited, code = _evaluate_an_edited_backbone(stages, tmp_path, field, value)
+    assert (code, capsys.readouterr().err) == ((
+        1, f"error: {edited} holds a checkpoint whose config has {field}={value!r}; retrain it\n")
+        if refused else (0, ""))
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("srs_embed_dim", 0, "srs_embed_dim must be >= 1, got 0"),
+    ("srs_max_len", -3, "srs_max_len must be >= 1, got -3"),
+    ("srs_dropout", 1.5, "srs_dropout must be in [0, 1), got 1.5")],
+    ids=["srs_embed_dim", "srs_max_len", "srs_dropout"])
+def test_cli_validates_each_checkpoint_config(stages, tmp_path, capsys, field, value, problem):
+    """A hand-edited backbone meta with values of the right type that RunConfig
+    refuses: one line naming the directory and the field, not a traceback from
+    the model builder or a silent load."""
+    edited, code = _evaluate_an_edited_backbone(stages, tmp_path, field, value)
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: {edited} holds a checkpoint whose config is invalid ({problem}); retrain it\n")
+
+
+def _evaluate_an_edited_backbone(stages, tmp_path, field, value):
+    """Run ``seqaug evaluate`` on a copy of the backbone whose meta has ``field``
+    set to ``value``; returns the copy's directory and the exit code."""
     _, raw, models = stages
     arrays, meta = load_checkpoint(os.path.join(models["backbone"], "model.ckpt"))
     (meta if field == "num_items" else meta["config"])[field] = value
@@ -304,11 +347,8 @@ def test_cli_checks_the_type_of_each_checkpoint_config_value(stages, tmp_path, c
     edited.mkdir()
     save_checkpoint(edited / "model.ckpt", arrays, meta=meta)
     sizes = [arg for key, v in SIZES.items() for arg in ("--set", f"{key}={v}")]
-    code = main(["evaluate", *sizes, "--model", str(edited), "--data", raw, "--raw-data", raw,
-                 "--out", str(tmp_path / "out")])
-    assert (code, capsys.readouterr().err) == ((
-        1, f"error: {edited} holds a checkpoint whose config has {field}={value!r}; retrain it\n")
-        if refused else (0, ""))
+    return edited, main(["evaluate", *sizes, "--model", str(edited), "--data", raw, "--raw-data", raw,
+                         "--out", str(tmp_path / "out")])
 
 
 def _flip_first_nbytes(data):
