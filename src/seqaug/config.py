@@ -10,7 +10,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .schedule import FAMILIES, make_schedule
-from .srs import SrsConfig
 from .sunet import SUNetConfig
 
 STRATEGIES = ("diffusion_cg", "diffusion_cf", "random", "random_seq", "reverse_gen", "none")
@@ -127,11 +126,6 @@ class RunConfig:
         return SUNetConfig(channels=self.M, embed_dim=self.embed_dim, levels=self.levels,
                            channel_mult=self.channel_mult, base_width=self.base_width,
                            res_blocks=self.res_blocks)
-
-    def srs_config(self, num_items):
-        """The recommender shape this run trains over ``num_items`` items."""
-        return SrsConfig(num_items=num_items, embed_dim=self.srs_embed_dim, blocks=self.srs_blocks,
-                         max_len=self.srs_max_len, dropout=self.srs_dropout)
 
     def schedule(self):
         return make_schedule(self.schedule_family, self.T, self.beta_start, self.beta_end)

@@ -196,8 +196,8 @@ def round_to_items(x0_hat, table):
     """``(ids, zero_rows)``: for generated states ``x0_hat`` of shape (B, M, d),
     the (B, M) nearest items by cosine similarity, never row 0 (padding).
 
-    Ties break toward the smallest item id; a zero-norm generated row falls
-    back to a plain dot-product argmax and is counted in ``zero_rows``.
+    Ties break toward the smallest item id. A zero-norm generated row scores
+    zero against every item, so it rounds to item 1; ``zero_rows`` counts them.
     """
     x = np.asarray(x0_hat)
     table = np.asarray(table)
@@ -214,6 +214,5 @@ def round_to_items(x0_hat, table):
     zero_rows = row_norms == 0
     dots = flat @ unit_cand.T
     sims = dots / np.where(zero_rows, 1.0, row_norms)[:, None]
-    scores = np.where(zero_rows[:, None], flat @ cand.T, sims)
-    ids = scores.argmax(axis=1) + 1
+    ids = sims.argmax(axis=1) + 1
     return ids.reshape(b, m), int(zero_rows.sum())

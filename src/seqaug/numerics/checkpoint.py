@@ -1,11 +1,13 @@
 """Single-file checkpoint format: JSON manifest + raw little-endian arrays.
 
 Layout: 8-byte magic, little-endian uint64 manifest length, UTF-8 JSON
-manifest, then the concatenated array buffers. Reload is bit-exact.
+manifest (each array's name, shape, dtype, offset, byte count and zlib
+CRC-32), then the concatenated array buffers. Reload is bit-exact.
 """
 
 import json
 import math
+import zlib
 
 import numpy as np
 
@@ -27,6 +29,7 @@ def save_checkpoint(path, arrays, meta=None):
             "dtype": arr.dtype.newbyteorder("<").str,
             "offset": offset,
             "nbytes": len(buf),
+            "crc32": zlib.crc32(buf),
         })
         buffers.append(buf)
         offset += len(buf)
@@ -42,8 +45,9 @@ def save_checkpoint(path, arrays, meta=None):
 def load_checkpoint(path):
     """Read a checkpoint; returns (arrays: dict name -> ndarray, meta: dict).
 
-    A file cut short, a manifest that does not parse into its fields, and an array
-    whose byte count does not fit its shape raise ``ValueError`` naming the path."""
+    A file cut short, a manifest that does not parse into its fields, and an array whose
+    byte count does not fit its shape, that has no checksum (the file predates them) or
+    whose bytes fail it raise ``ValueError`` naming the path."""
     with open(path, "rb") as f:
         data = f.read()
     if not MAGIC.startswith(data[:len(MAGIC)]):
@@ -58,17 +62,21 @@ def load_checkpoint(path):
         manifest = json.loads(data[head:head + mlen].decode("utf-8"))
         meta = dict(manifest["meta"])
         entries = [(e["name"], int(e["offset"]), int(e["nbytes"]), np.dtype(e["dtype"]),
-                    tuple(int(n) for n in e["shape"])) for e in manifest["arrays"]]
+                    tuple(int(n) for n in e["shape"]), e.get("crc32")) for e in manifest["arrays"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: corrupt manifest ({type(exc).__name__}: {exc})") from None
     blob = memoryview(data)[head + mlen:]
     arrays = {}
-    for name, start, nbytes, dtype, shape in entries:
+    for name, start, nbytes, dtype, shape, crc in entries:
+        if crc is None:
+            raise ValueError(f"{path}: array {name!r} carries no checksum (an older version saved it)")
         if nbytes != math.prod(shape) * dtype.itemsize:
             raise ValueError(f"{path}: array {name!r} has {nbytes} bytes, but shape {list(shape)} "
                              f"of {dtype} takes {math.prod(shape) * dtype.itemsize}")
         if len(blob) < start + nbytes:
             raise ValueError(f"{path}: array {name!r} truncated: "
                              f"{max(len(blob) - start, 0)} of {nbytes} bytes")
+        if zlib.crc32(blob[start:start + nbytes]) != crc:
+            raise ValueError(f"{path}: array {name!r} fails its checksum")
         arrays[name] = np.frombuffer(blob[start:start + nbytes], dtype=dtype).reshape(shape).copy()
     return arrays, meta

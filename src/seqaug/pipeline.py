@@ -125,7 +125,9 @@ def _load_model(model_dir, stage, needed_by=None, reverse=False):
                          f"({'; '.join(exc.problems)}); retrain it") from exc
     model = (SUNet(run.sunet_config(), meta["num_items"], seed_stream(0, "sunet-load"))
              if stage == "train-diffusion" else
-             SrsModel(run.srs_config(meta["num_items"]), seed_stream(0, "srs-load")))
+             SrsModel(run, meta["num_items"], seed_stream(0, "srs-load")))
+    if arrays.keys() != model.parameters().keys():
+        raise ValueError(f"{model_dir} holds a checkpoint from an older version; retrain it")
     model.load_state_arrays(arrays)
     return model, trained
 
@@ -143,7 +145,7 @@ def run_train_srs(config, data_dir, out_dir, role="backbone"):
     with _stage("train-srs", config, out_dir, role=role, data=os.path.abspath(data_dir)):
         ds = load_dataset_dir(data_dir)
         split = leave_one_out_split(ds)
-        model = SrsModel(config.srs_config(ds.num_items), seed_stream(config.seed, "srs-init", role))
+        model = SrsModel(config, ds.num_items, seed_stream(config.seed, "srs-init", role))
         if role == "reverse":
             history = srs.train_reverse(model, split, config)
         else:

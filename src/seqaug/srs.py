@@ -14,8 +14,6 @@ packed, and attention runs on slices as wide as the longest row, each holding
 several whole rows.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numerics as nd
@@ -23,15 +21,6 @@ from .numerics import LayerNorm, Linear, Module, param, seed_stream
 from .training import epoch_losses
 
 NEG_INF = -1e9
-
-
-@dataclass(frozen=True)
-class SrsConfig:
-    num_items: int
-    embed_dim: int = 64
-    blocks: int = 2
-    max_len: int = 200
-    dropout: float = 0.6
 
 
 class AttnFFNBlock(Module):
@@ -120,14 +109,16 @@ class SrsModel(Module):
     (``pack_rows``); keys of other rows get exactly zero weight. Each dropout
     masks the packed (N, d) array it is given, or (B, d) in the last block. The
     last block computes the last position alone (its keys and values read every
-    position), with each row's query grouped by slice."""
+    position), with each row's query grouped by slice. The RunConfig's ``srs_*``
+    fields give its shape and dropout; ``num_items`` is the catalogue it scores."""
 
-    def __init__(self, config, rng):
+    def __init__(self, config, num_items, rng):
         self.config = config
-        d = config.embed_dim
-        self.item_emb = param(rng.standard_normal((config.num_items + 1, d)) * 0.1)
-        self.pos_emb = param(rng.standard_normal((config.max_len, d)) * 0.1)
-        self.blocks = [AttnFFNBlock(d, rng) for _ in range(config.blocks)]
+        self.num_items = num_items
+        d = config.srs_embed_dim
+        self.item_emb = param(rng.standard_normal((num_items + 1, d)) * 0.1)
+        self.pos_emb = param(rng.standard_normal((config.srs_max_len, d)) * 0.1)
+        self.blocks = [AttnFFNBlock(d, rng) for _ in range(config.srs_blocks)]
         self.final_norm = LayerNorm(d)
 
     # -- encoding ----------------------------------------------------------
@@ -139,10 +130,9 @@ class SrsModel(Module):
         two agree exactly when emb_seq equals the looked-up rows. An empty row or
         an id below 1 is refused, and so is an emb_seq wider than max_len, which
         would have no position embeddings."""
-        cfg = self.config
-        d = cfg.embed_dim
+        max_len, d = self.config.srs_max_len, self.config.srs_embed_dim
         if emb_seq is None:
-            rows = [r[-cfg.max_len:] for r in rows]
+            rows = [r[-max_len:] for r in rows]
             lengths = np.array([len(r) for r in rows])
             if not lengths.all():
                 raise ValueError("cannot score an empty sequence")
@@ -152,16 +142,16 @@ class SrsModel(Module):
             x = nd.embedding(self.item_emb, ids)
         else:
             b, m = emb_seq.shape[:2]
-            if m > cfg.max_len:
-                raise ValueError(f"rows are {m} positions wide, but max_len is {cfg.max_len}")
+            if m > max_len:
+                raise ValueError(f"rows are {m} positions wide, but max_len is {max_len}")
             lengths = np.full(b, m)
             x = nd.reshape(emb_seq, (b * m, d))
 
         def drop(x):
-            return nd.dropout(x, cfg.dropout, train, rng)
+            return nd.dropout(x, self.config.srs_dropout, train, rng)
 
         # row r's j-th item sits at pos_emb[max_len - len(r) + j]
-        pos = np.arange(x.shape[0]) + np.repeat(cfg.max_len - np.cumsum(lengths), lengths)
+        pos = np.arange(x.shape[0]) + np.repeat(max_len - np.cumsum(lengths), lengths)
         h = drop(nd.add(nd.mul(x, float(np.sqrt(d))), nd.take(self.pos_emb, pos)))
         packed_at, mask, last = pack_rows(lengths)
         for block in self.blocks:
@@ -261,10 +251,9 @@ def _fit(model, sequences, split, config, validate):
     avoid = {u: set(split.full_sequence(u)) for u in split.train}
     neg_rng = seed_stream(config.seed, "srs-negatives")
     drop_rng = seed_stream(config.seed, "srs-dropout")
-    num_items = model.config.num_items
 
     def batch_loss(indices):
-        rows = [(prefix, target, sample_negatives(num_items, avoid[user], 1, neg_rng))
+        rows = [(prefix, target, sample_negatives(model.num_items, avoid[user], 1, neg_rng))
                 for user, prefix, target in (examples[i] for i in indices)]
         return _batch_loss(model, rows, train=True, rng=drop_rng)
 

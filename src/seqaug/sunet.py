@@ -2,12 +2,12 @@
 
 Each d-dimensional embedding is reshaped to a sqrt(d) x sqrt(d) plane and
 the M sequence positions become image channels. The network is a small
-U-Net: per-level resnet blocks, one strided-conv downsample between
-levels, a middle resnet + single-head spatial attention, and mirrored
-upsampling with skip concatenation. A vector z = c + step_embedding(t)
-is projected per block and broadcast-added before the first convolution;
-c is the condition of ``diffusion.lead_condition``, the raw sequence's
-preference mean plus its lead item's embedding.
+U-Net: per-level resnet blocks, a stride-2 conv between levels, a middle
+resnet + single-head spatial attention, and mirrored levels with skip
+concatenation, joined by a nearest-neighbour upsample + conv. A vector
+z = c + step_embedding(t) is projected per block and broadcast-added before
+the first convolution; c is the condition of ``diffusion.lead_condition``,
+the raw sequence's preference mean plus its lead item's embedding.
 """
 
 import math
@@ -37,7 +37,7 @@ def sinusoidal_step_embedding(t, dim):
 @dataclass(frozen=True)
 class SUNetConfig:
     channels: int              # M, the number of generated positions
-    embed_dim: int = 64        # d, must be a perfect square
+    embed_dim: int = 64        # d, an even perfect square
     levels: int = 2
     channel_mult: tuple = (1, 2)
     base_width: int = 32
@@ -47,6 +47,8 @@ class SUNetConfig:
         side = math.isqrt(self.embed_dim)
         if side * side != self.embed_dim:
             raise ValueError(f"embed_dim must be a perfect square, got {self.embed_dim}")
+        if self.embed_dim % 2:
+            raise ValueError(f"the step embedding needs an even embed_dim, got {self.embed_dim}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if len(self.channel_mult) != self.levels:
@@ -94,22 +96,6 @@ class AttnBlock(Module):
         return nd.add(h, nd.reshape(self.proj(att), (b, hh, ww, c)))
 
 
-class Downsample(Module):
-    def __init__(self, c, rng):
-        self.conv = Conv2d(c, c, rng, stride=2)
-
-    def __call__(self, h):
-        return self.conv(h)
-
-
-class Upsample(Module):
-    def __init__(self, c_in, c_out, rng):
-        self.conv = Conv2d(c_in, c_out, rng)
-
-    def __call__(self, h):
-        return self.conv(nd.upsample_nearest2d(h, 2))
-
-
 class SUNet(Module):
     """The noise predictor plus the jointly trained item-embedding table.
 
@@ -138,7 +124,7 @@ class SUNet(Module):
                 ch = widths[lv]
             self.down_blocks.append(blocks)
             if lv < config.levels - 1:
-                self.downsamples.append(Downsample(ch, rng))
+                self.downsamples.append(Conv2d(ch, ch, rng, stride=2))
 
         self.mid_res = ResBlock(ch, ch, d, rng)
         self.mid_attn = AttnBlock(ch, rng)
@@ -152,7 +138,7 @@ class SUNet(Module):
             ch = widths[lv]
             self.up_blocks.append(blocks)
             if lv > 0:
-                self.upsamples.append(Upsample(ch, widths[lv - 1], rng))
+                self.upsamples.append(Conv2d(ch, widths[lv - 1], rng))
                 ch = widths[lv - 1]
 
         self.out_norm = LayerNorm(ch)
@@ -189,7 +175,7 @@ class SUNet(Module):
             for block in self.up_blocks[i]:
                 h = block(h, z)
             if lv > 0:
-                h = self.upsamples[i](h)
+                h = self.upsamples[i](nd.upsample_nearest2d(h, 2))
 
         out = self.out_conv(nd.silu(self.out_norm(h)))
         return nd.reshape(nd.transpose(out, (0, 3, 1, 2)), (b, m, d))

@@ -17,13 +17,13 @@ import pytest
 from seqaug import diffusion as dm
 from seqaug import numerics as nd
 from seqaug import pipeline, srs
-from seqaug.config import load_config
+from seqaug.config import RunConfig, load_config
 from seqaug.dataset import (InteractionDataset, build_diffusion_training_set,
                             leave_one_out_split)
 from seqaug.evaluation import evaluate, rank_metrics, sample_eval_negatives
 from seqaug.numerics import Tensor, seed_stream
 from seqaug.schedule import make_schedule, sigma2_at
-from seqaug.srs import SrsConfig, SrsModel
+from seqaug.srs import SrsModel
 from seqaug.sunet import SUNet, SUNetConfig
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "synth.cfg")
@@ -153,8 +153,8 @@ def test_03_gradient_fidelity():
         sunet_err = nd.finite_difference_check(
             sunet_loss, list(net.parameters().values()) + [x, c], n_coords=64, rng=rng)
 
-        model = SrsModel(SrsConfig(num_items=15, embed_dim=16, blocks=1, max_len=6,
-                                   dropout=0.0), seed_stream(0, "accept-srs"))
+        model = SrsModel(RunConfig(srs_embed_dim=16, srs_blocks=1, srs_max_len=6, srs_dropout=0.0),
+                         15, seed_stream(0, "accept-srs"))
         batch = [([3, 1, 4], 7, [9]), ([2, 2], 5, [8]), ([10, 11, 12, 13], 1, [6])]
 
         def srs_loss():
@@ -196,8 +196,8 @@ def test_04_guidance_algebra():
                        np.broadcast_to(fixed, (2, 2, 16)))
         for g in (0.0, 0.1, 1.0, 10.0, 100.0))
 
-    phi = SrsModel(SrsConfig(num_items=10, embed_dim=16, blocks=1, max_len=4, dropout=0.0),
-                   seed_stream(2, "accept-clf"))
+    phi = SrsModel(RunConfig(srs_embed_dim=16, srs_blocks=1, srs_max_len=4, srs_dropout=0.0),
+                   10, seed_stream(2, "accept-clf"))
     cg_zero = dm.guide_noise(net, x, 4, c, 0.0, sched, classifier=phi, raw_first_items=[1, 2])
     cg_ok = np.array_equal(cg_zero, cond)
     ok = bitwise and invariant and cg_ok

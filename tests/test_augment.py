@@ -16,7 +16,7 @@ from seqaug.dataset import (EmptyDiffusionSetError, InteractionDataset,
                             load_sequences, load_vocab, save_sequences)
 from seqaug.numerics import seed_stream
 from seqaug.numerics.checkpoint import load_checkpoint
-from seqaug.srs import SrsConfig, SrsModel, train_reverse
+from seqaug.srs import SrsModel, train_reverse
 
 
 def small_config(**kw):
@@ -92,7 +92,7 @@ TRAINERS = {
     "train-diffusion": (am.diffusion, "training_loss",
                         lambda ds: train_augmentor(ds, small_config(diff_epochs=2))),
     "train-srs": (srs, "_batch_loss", lambda ds: srs.train(
-        SrsModel(SrsConfig(num_items=ds.num_items, embed_dim=8, blocks=1, max_len=12),
+        SrsModel(RunConfig(srs_embed_dim=8, srs_blocks=1, srs_max_len=12), ds.num_items,
                  seed_stream(3, "srs")),
         leave_one_out_split(ds), RunConfig(srs_epochs=2, srs_batch_size=16, seed=3))),
 }
@@ -180,8 +180,8 @@ def test_random_strategies_seed_determinism(chain_ds):
 
 def test_reverse_gen_strategy(chain_ds):
     split = leave_one_out_split(chain_ds)
-    rev = SrsModel(SrsConfig(num_items=chain_ds.num_items, embed_dim=16, blocks=1,
-                             max_len=20, dropout=0.0), seed_stream(4, "rev"))
+    rev = SrsModel(RunConfig(srs_embed_dim=16, srs_blocks=1, srs_max_len=20, srs_dropout=0.0),
+                   chain_ds.num_items, seed_stream(4, "rev"))
     train_reverse(rev, split, RunConfig(srs_epochs=3, srs_batch_size=32, seed=1))
     out, _ = augment_dataset(chain_ds, small_config(strategy="reverse_gen"), reverse_model=rev)
     for aug in prefixes(chain_ds, out).values():

@@ -168,6 +168,18 @@ def test_non_square_embed_dim_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("embed_dim", [9, 1])
+def test_odd_embed_dim_is_a_config_error(tmp_path, capsys, embed_dim):
+    """The step embedding needs an even width: refused before any directory is made."""
+    code = run_cli("train-diffusion", "--set", f"embed_dim={embed_dim}", "--set", "levels=1",
+                   "--data", str(tmp_path), "--out", str(tmp_path / "x"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"the step embedding needs an even embed_dim, got {embed_dim}" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_rejects_levels_the_embedding_side_cannot_halve():
     with pytest.raises(ConfigError, match="not divisible"):
         load_config(None, overrides={"embed_dim": "16", "levels": "4"})

@@ -5,9 +5,10 @@ import pytest
 
 from seqaug import diffusion as dm
 from seqaug import numerics as nd
+from seqaug.config import RunConfig
 from seqaug.numerics import Tensor, conv, seed_stream
 from seqaug.schedule import make_schedule
-from seqaug.srs import SrsConfig, SrsModel
+from seqaug.srs import SrsModel
 from seqaug.sunet import SUNet, SUNetConfig
 
 
@@ -183,8 +184,8 @@ def test_diffusion_cg_gamma_zero_is_unguided(tiny_net, sched):
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 2, 16))
     c = rng.standard_normal((2, 16))
-    classifier = SrsModel(SrsConfig(num_items=12, embed_dim=16, blocks=1, max_len=4,
-                                    dropout=0.0), seed_stream(1, "clf"))
+    classifier = SrsModel(RunConfig(srs_embed_dim=16, srs_blocks=1, srs_max_len=4, srs_dropout=0.0),
+                          12, seed_stream(1, "clf"))
     out = dm.guide_noise(tiny_net, x, 3, c, 0.0, sched, classifier=classifier, raw_first_items=[1, 2])
     with nd.no_grad():
         cond = tiny_net.predict_noise(x, 3, c).data
@@ -195,8 +196,8 @@ def test_diffusion_cg_shifts_along_scorer_gradient(tiny_net, sched):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 2, 16))
     c = rng.standard_normal((2, 16))
-    classifier = SrsModel(SrsConfig(num_items=12, embed_dim=16, blocks=1, max_len=4,
-                                    dropout=0.0), seed_stream(1, "clf"))
+    classifier = SrsModel(RunConfig(srs_embed_dim=16, srs_blocks=1, srs_max_len=4, srs_dropout=0.0),
+                          12, seed_stream(1, "clf"))
     grad = dm.scorer_input_gradient(classifier, x, [3, 4])
     out = dm.guide_noise(tiny_net, x, 3, c, 2.0, sched, classifier=classifier, raw_first_items=[3, 4])
     with nd.no_grad():
@@ -206,8 +207,8 @@ def test_diffusion_cg_shifts_along_scorer_gradient(tiny_net, sched):
 
 
 def test_scorer_input_gradient_matches_finite_differences():
-    classifier = SrsModel(SrsConfig(num_items=10, embed_dim=16, blocks=1, max_len=3,
-                                    dropout=0.0), seed_stream(2, "clf-fd"))
+    classifier = SrsModel(RunConfig(srs_embed_dim=16, srs_blocks=1, srs_max_len=3, srs_dropout=0.0),
+                          10, seed_stream(2, "clf-fd"))
     rng = np.random.default_rng(8)
     x = rng.standard_normal((1, 3, 16))
     grad = dm.scorer_input_gradient(classifier, x, [4])
@@ -336,8 +337,8 @@ def test_classifier_guided_step_inside_frozen_weights_matches_outside(tiny_net, 
     x = rng.standard_normal((2, 2, 16))
     c = rng.standard_normal((2, 16))
     noise = rng.standard_normal((2, 2, 16))
-    classifier = SrsModel(SrsConfig(num_items=12, embed_dim=16, blocks=1, max_len=4,
-                                    dropout=0.0), seed_stream(1, "clf"))
+    classifier = SrsModel(RunConfig(srs_embed_dim=16, srs_blocks=1, srs_max_len=4, srs_dropout=0.0),
+                          12, seed_stream(1, "clf"))
     outside = dm.reverse_step(tiny_net, x, 3, c, 2.0, sched, noise, classifier, [3, 4])
     with nd.frozen_weights():
         inside = dm.reverse_step(tiny_net, x, 3, c, 2.0, sched, noise, classifier, [3, 4])
@@ -399,6 +400,7 @@ def test_rounding_zero_norm_fallback_counts(rng):
     x[0, 1] = rng.standard_normal(3)
     ids, fallbacks = dm.round_to_items(x, table)
     assert fallbacks == 1
+    assert ids[0, 0] == 1
     assert 1 <= ids.min() and ids.max() <= 5
 
 

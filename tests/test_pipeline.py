@@ -284,10 +284,13 @@ def test_cli_refuses_a_classifier_of_another_width(stages, tmp_path, capsys):
            "srs_embed_dim=16\n")
 
 
-@pytest.mark.parametrize("case", ["diffusion-meta", "recommender-meta", "unknown-config-field"])
+@pytest.mark.parametrize("case", ["diffusion-meta", "recommender-meta", "unknown-config-field",
+                                  "diffusion-conv-names"])
 def test_cli_refuses_a_checkpoint_from_an_older_version(stages, tmp_path, capsys, case):
-    """The metas written before checkpoints carried their stage and RunConfig, and a
-    config with a field RunConfig does not have, get the retrain line."""
+    """The metas written before checkpoints carried their stage and RunConfig, a
+    config with a field RunConfig does not have, and an SU-Net whose resampling
+    convolutions still sit one module deeper (``upsamples.0.conv.w``) get the retrain
+    line."""
     cfg, raw, models = stages
     arrays, meta = load_checkpoint(os.path.join(models["backbone" if case == "recommender-meta"
                                                         else "diffusion_cf"], "model.ckpt"))
@@ -296,8 +299,14 @@ def test_cli_refuses_a_checkpoint_from_an_older_version(stages, tmp_path, capsys
         meta = {"net_config": asdict(cfg.sunet_config()), "num_items": meta["num_items"],
                 "config": meta["config"], "condition": meta["condition"]}
     elif case == "recommender-meta":
-        meta = {"srs_config": asdict(cfg.srs_config(meta["num_items"])), "role": meta["role"]}
+        meta = {"srs_config": {"num_items": meta["num_items"], "embed_dim": cfg.srs_embed_dim,
+                               "blocks": cfg.srs_blocks, "max_len": cfg.srs_max_len,
+                               "dropout": cfg.srs_dropout}, "role": meta["role"]}
         command = ["evaluate", "--raw-data", raw, "--model"]
+    elif case == "diffusion-conv-names":
+        arrays = {re.sub(r"^(down|up)samples\.(\d+)\.", r"\1samples.\2.conv.", name): value
+                  for name, value in arrays.items()}
+        assert sum(".conv." in name for name in arrays) == 4
     else:
         meta["config"]["no_such_knob"] = 1
     old = tmp_path / "old"
@@ -360,10 +369,13 @@ def _flip_first_nbytes(data):
     (lambda data: data.replace(b'"arrays"', b'"ar}ays"'), "corrupt manifest (KeyError: 'arrays')"),
     (lambda data: data.replace(b'"meta"', b'"m\xffta"'), "corrupt manifest (UnicodeDecodeError: "),
     (_flip_first_nbytes, "bytes, but shape"),
-], ids=["key", "non-utf8", "nbytes"])
+    (lambda data: data[:-1] + bytes([data[-1] ^ 1]), "fails its checksum"),
+    (lambda data: data.replace(b'"crc32"', b'"crc_0"'), "carries no checksum"),
+], ids=["key", "non-utf8", "nbytes", "array-byte", "no-checksums"])
 def test_cli_refuses_a_corrupt_checkpoint_manifest(stages, tmp_path, capsys, corrupt, problem):
-    """A flipped byte that keeps the manifest's length: evaluate exits 1 with one line
-    naming the file, and no traceback."""
+    """A flipped byte that keeps the file's length, in the manifest or in the last
+    array's data, and a manifest whose arrays carry no checksum: evaluate exits 1
+    with one line naming the file, and no traceback."""
     _, raw, models = stages
     bad = tmp_path / "bad"
     bad.mkdir()

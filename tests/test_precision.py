@@ -6,9 +6,10 @@ import pytest
 
 from seqaug import diffusion, srs
 from seqaug import numerics as nd
+from seqaug.config import RunConfig
 from seqaug.numerics import Tensor, seed_stream
 from seqaug.schedule import make_schedule
-from seqaug.srs import SrsConfig, SrsModel
+from seqaug.srs import SrsModel
 from seqaug.sunet import SUNet, SUNetConfig
 
 F32 = np.dtype(np.float32)
@@ -45,8 +46,8 @@ def sunet():
 
 
 def recommender():
-    return SrsModel(SrsConfig(num_items=20, embed_dim=8, blocks=2, max_len=6, dropout=0.3),
-                    seed_stream(5, "srs"))
+    return SrsModel(RunConfig(srs_embed_dim=8, srs_blocks=2, srs_max_len=6, srs_dropout=0.3),
+                    20, seed_stream(5, "srs"))
 
 
 def diffusion_loss():

@@ -7,13 +7,12 @@ from seqaug.config import RunConfig
 from seqaug.dataset import InteractionDataset, leave_one_out_split
 from seqaug.numerics import Tensor, seed_stream
 from seqaug.numerics.checkpoint import load_checkpoint
-from seqaug.srs import SrsConfig, SrsModel
+from seqaug.srs import SrsModel
 
 
 def tiny_model(num_items=10, d=16, blocks=1, max_len=12, dropout=0.0, key="m"):
-    cfg = SrsConfig(num_items=num_items, embed_dim=d, blocks=blocks,
-                    max_len=max_len, dropout=dropout)
-    return SrsModel(cfg, seed_stream(3, key))
+    cfg = RunConfig(srs_embed_dim=d, srs_blocks=blocks, srs_max_len=max_len, srs_dropout=dropout)
+    return SrsModel(cfg, num_items, seed_stream(3, key))
 
 
 def alternating_dataset(n_users=10, length=8):
@@ -119,7 +118,7 @@ def _full_width_encode(model):
 
     def encode(rows=None, emb_seq=None, train=False, rng=None):
         if emb_seq is None:
-            rows = [row[-cfg.max_len:] for row in rows]
+            rows = [row[-cfg.srs_max_len:] for row in rows]
             ids = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
             for i, row in enumerate(rows):
                 ids[i, ids.shape[1] - len(row):] = row
@@ -131,14 +130,14 @@ def _full_width_encode(model):
         last[:, -1] = True
 
         def drop(x, kept):
-            if not train or cfg.dropout == 0.0:
+            if not train or cfg.srs_dropout == 0.0:
                 return x
             u = np.zeros(x.shape)
-            u[kept] = rng.random((int(kept.sum()), cfg.embed_dim))
-            return nd.mul(x, ((u >= cfg.dropout) / (1.0 - cfg.dropout)).astype(x.dtype))
+            u[kept] = rng.random((int(kept.sum()), cfg.srs_embed_dim))
+            return nd.mul(x, ((u >= cfg.srs_dropout) / (1.0 - cfg.srs_dropout)).astype(x.dtype))
 
-        h = nd.mul(emb_seq, float(np.sqrt(cfg.embed_dim)))
-        h = drop(nd.add(h, nd.take(model.pos_emb, np.arange(cfg.max_len - L, cfg.max_len))), real)
+        h = nd.mul(emb_seq, float(np.sqrt(cfg.srs_embed_dim)))
+        h = drop(nd.add(h, nd.take(model.pos_emb, np.arange(cfg.srs_max_len - L, cfg.srs_max_len))), real)
         # a real query sees itself and the real positions before it
         seen = np.tril(np.ones((L, L), dtype=bool)) & real[:, None, :]
         mask = np.where(seen, 0.0, -1e9).astype(nd.default_dtype())
