@@ -9,6 +9,7 @@ import numpy as np
 
 from . import numerics as nd
 from .numerics import Tensor, seed_stream
+from .srs import item_logits
 
 
 def forward_sample(x0, t, eps, sched):
@@ -101,11 +102,11 @@ def training_loss(model, aug_ids, raw_seqs, sched, rng, p_uncond=0.0):
 
 def scorer_input_gradient(classifier, x_t, first_items):
     """d/dx_t of sum_b log p(first_item_b | x_t_b) through the scorer; log p
-    is the negative BCE of the positive logit at the last position."""
+    is the negative BCE of the positive logit at the last position. The first
+    items' embedding rows enter as constants, so no other row is read."""
     xt = Tensor(np.asarray(x_t, dtype=nd.default_dtype()), requires_grad=True)
-    logits = classifier.score_embedded(xt)
-    idx = (np.arange(x_t.shape[0]), np.asarray(first_items, dtype=np.int64) - 1)
-    pos = nd.take(logits, idx)
+    rows = classifier.item_emb.data[np.asarray(first_items, dtype=np.int64)]
+    pos = item_logits(classifier.encode(emb_seq=xt), rows)
     log_p = nd.mul(nd.sum_(nd.softplus(nd.mul(pos, -1.0))), -1.0)
     nd.backward(log_p)
     return xt.grad

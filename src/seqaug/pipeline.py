@@ -15,6 +15,9 @@ import contextlib
 import json
 import operator
 import os
+from types import SimpleNamespace
+
+import numpy as np
 
 from . import augment as aug_mod
 from . import diffusion, srs, synth
@@ -123,9 +126,10 @@ def _load_model(model_dir, stage, needed_by=None, reverse=False):
     except ConfigError as exc:
         raise ValueError(f"{model_dir} holds a checkpoint whose config is invalid "
                          f"({'; '.join(exc.problems)}); retrain it") from exc
-    model = (SUNet(run.sunet_config(), meta["num_items"], seed_stream(0, "sunet-load"))
-             if stage == "train-diffusion" else
-             SrsModel(run, meta["num_items"], seed_stream(0, "srs-load")))
+    # load_state_arrays overwrites every array, so the model is built from zeros, not draws
+    no_draws = SimpleNamespace(standard_normal=np.zeros)
+    model = (SUNet(run.sunet_config(), meta["num_items"], no_draws)
+             if stage == "train-diffusion" else SrsModel(run, meta["num_items"], no_draws))
     if arrays.keys() != model.parameters().keys():
         raise ValueError(f"{model_dir} holds a checkpoint from an older version; retrain it")
     model.load_state_arrays(arrays)

@@ -7,8 +7,11 @@ autoregressive pre-order generator baseline.
 
 Training uses the sequence-to-one scheme: every prefix of a user's train
 items yields one (input, next-item) example, scored with a binary
-cross-entropy over the positive logit plus sampled negative logits. Callers
-read only the last position, so the final block computes that one alone.
+cross-entropy over the positive logit plus one sampled negative's logit.
+Callers read only the last position, so the final block computes that one
+alone. Scoring is ``score_sequences``, every item's score for id histories,
+and ``item_logits``, one item's logit per row from the last hidden state,
+which training and classifier guidance share.
 A batch is a list of item-id rows of any lengths; their items are encoded
 packed, and attention runs on slices as wide as the longest row, each holding
 several whole rows.
@@ -158,22 +161,17 @@ class SrsModel(Module):
             h = block(h, packed_at, mask, drop, last=last if block is self.blocks[-1] else None)
         return self.final_norm(h)
 
-    def logits_all(self, last_h):
-        """Scores over the full catalogue: (B, V); column v-1 is item v."""
-        table = nd.take(self.item_emb, slice(1, None))
-        return nd.matmul(last_h, nd.transpose(table, (1, 0)))
-
-    # -- scoring API ---------------------------------------------------------
-
     def score_sequences(self, sequences):
-        """(B, V) ndarray of next-item scores for item-id histories."""
+        """(B, V) ndarray of next-item scores for item-id histories; column v-1 is
+        item v."""
         with nd.no_grad():
-            return self.logits_all(self.encode(rows=sequences)).data
+            return self.encode(rows=sequences).data @ self.item_emb.data[1:].T
 
-    def score_embedded(self, emb_seq):
-        """Graph-connected logits (B, V) from an embedding-sequence Tensor
-        (B, M, d); used for input-gradient guidance."""
-        return self.logits_all(self.encode(emb_seq=emb_seq))
+
+def item_logits(last_h, rows):
+    """(B,) logits, sum(last_h * rows) over d: each row's last hidden state (B, d)
+    scored against one item's embedding row (B, d), a Tensor or a constant array."""
+    return nd.sum_(nd.mul(last_h, rows), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,40 +188,28 @@ def build_examples(sequences):
     return examples
 
 
-def sample_negatives(num_items, forbidden, count, rng):
-    """Uniform item ids avoiding ``forbidden``; returns fewer (possibly zero)
-    ids when the catalogue is nearly exhausted."""
-    pool_size = num_items - len(forbidden)
-    if pool_size <= 0:
-        return []
-    out = []
-    # rejection sampling; the pool is almost always much larger than count
-    while len(out) < min(count, pool_size):
+def sample_negatives(num_items, forbidden, rng):
+    """A uniform item id not in ``forbidden``, or None when every id is."""
+    if len(forbidden) >= num_items:
+        return None
+    # rejection sampling; the pool is almost always most of the catalogue
+    while True:
         v = int(rng.integers(1, num_items + 1))
-        if v not in forbidden and v not in out:
-            out.append(v)
-    return out
+        if v not in forbidden:
+            return v
 
 
 def _batch_loss(model, batch, train, rng):
-    """Mean BCE over a batch of (item_ids, target, negatives[]) rows."""
+    """Mean BCE over a batch of (item_ids, target, negative) rows; a None negative
+    adds no term."""
     last = model.encode(rows=[b[0] for b in batch], train=train, rng=rng)
     pos_ids = np.array([b[1] for b in batch], dtype=np.int64)
-    pos_logit = nd.sum_(nd.mul(last, nd.embedding(model.item_emb, pos_ids)), axis=-1)
+    pos_logit = item_logits(last, nd.embedding(model.item_emb, pos_ids))
     loss = nd.mean(nd.softplus(nd.mul(pos_logit, -1.0)))
-    neg_rows = [b[2] for b in batch]
-    width = max(len(r) for r in neg_rows)
-    if width > 0:
-        neg_ids = np.zeros((len(batch), width), dtype=np.int64)
-        neg_mask = np.zeros((len(batch), width), dtype=nd.default_dtype())
-        for i, row in enumerate(neg_rows):
-            neg_ids[i, :len(row)] = row
-            neg_mask[i, :len(row)] = 1.0
-        neg_logit = nd.sum_(nd.mul(nd.reshape(last, (len(batch), 1, -1)),
-                                   nd.embedding(model.item_emb, neg_ids)), axis=-1)
-        neg_bce = nd.mul(nd.softplus(neg_logit), neg_mask)
-        loss = nd.add(loss, nd.mean(nd.sum_(neg_bce, axis=-1)))
-    return loss
+    neg_mask = np.array([b[2] is not None for b in batch], dtype=nd.default_dtype())
+    neg_ids = np.array([b[2] or 0 for b in batch], dtype=np.int64)
+    neg_logit = item_logits(last, nd.embedding(model.item_emb, neg_ids))
+    return nd.add(loss, nd.mean(nd.mul(nd.softplus(neg_logit), neg_mask)))
 
 
 def _valid_hr10(model, split):
@@ -253,7 +239,7 @@ def _fit(model, sequences, split, config, validate):
     drop_rng = seed_stream(config.seed, "srs-dropout")
 
     def batch_loss(indices):
-        rows = [(prefix, target, sample_negatives(model.num_items, avoid[user], 1, neg_rng))
+        rows = [(prefix, target, sample_negatives(model.num_items, avoid[user], neg_rng))
                 for user, prefix, target in (examples[i] for i in indices)]
         return _batch_loss(model, rows, train=True, rng=drop_rng)
 

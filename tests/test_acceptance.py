@@ -155,7 +155,7 @@ def test_03_gradient_fidelity():
 
         model = SrsModel(RunConfig(srs_embed_dim=16, srs_blocks=1, srs_max_len=6, srs_dropout=0.0),
                          15, seed_stream(0, "accept-srs"))
-        batch = [([3, 1, 4], 7, [9]), ([2, 2], 5, [8]), ([10, 11, 12, 13], 1, [6])]
+        batch = [([3, 1, 4], 7, 9), ([2, 2], 5, 8), ([10, 11, 12, 13], 1, 6)]
 
         def srs_loss():
             return srs._batch_loss(model, batch, train=False, rng=None)

@@ -215,7 +215,7 @@ def test_scorer_input_gradient_matches_finite_differences():
 
     def log_p(arr):
         with nd.no_grad():
-            logits = classifier.score_embedded(Tensor(arr)).data
+            logits = classifier.encode(emb_seq=Tensor(arr)).data @ classifier.item_emb.data[1:].T
         return float(-np.logaddexp(0.0, -logits[0, 3]))
 
     step = 1e-5
@@ -226,6 +226,22 @@ def test_scorer_input_gradient_matches_finite_differences():
         xm[idx] -= step
         fd = (log_p(xp) - log_p(xm)) / (2 * step)
         assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+def test_scorer_input_gradient_reads_only_the_first_items_rows():
+    """Guidance scores one item per row: with every other row of the classifier's
+    table NaN, the gradient is finite and bitwise the unpoisoned one."""
+    classifier = SrsModel(RunConfig(srs_embed_dim=16, srs_blocks=2, srs_max_len=3, srs_dropout=0.0),
+                          10, seed_stream(2, "clf-rows"))
+    x = np.random.default_rng(9).standard_normal((3, 3, 16))
+    first = [4, 7, 4]
+    clean = dm.scorer_input_gradient(classifier, x, first)
+    poisoned = np.full_like(classifier.item_emb.data, np.nan)
+    poisoned[first] = classifier.item_emb.data[first]
+    classifier.item_emb.data = poisoned
+    grad = dm.scorer_input_gradient(classifier, x, first)
+    assert np.isfinite(grad).all()
+    np.testing.assert_array_equal(grad, clean)
 
 
 # ---------------------------------------------------------------------------

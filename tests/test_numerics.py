@@ -331,7 +331,7 @@ def test_embedding_gradient_sums_over_repeated_ids():
     expected[2] = upstream[1, 1]
     np.testing.assert_array_equal(table.grad, expected)
 
-    # the tuple form scorer_input_gradient indexes its logits with, negative ids included
+    # the tuple form, negative ids included
     logits = Tensor(np.zeros((3, 4)), requires_grad=True)
     rows, cols = np.array([0, 2, 2, 0, 2]), np.array([1, 3, -1, 1, 0])
     upstream = np.arange(1.0, 6.0)

@@ -118,6 +118,24 @@ def test_diffusion_checkpoint_reloads_the_trained_net_config(stages, tmp_path):
     assert pipeline.load_diffusion_model(str(tmp_path / "diff"))[0].config == model.config
 
 
+@pytest.mark.parametrize("name, stage", [("diffusion_cf", "train-diffusion"), ("backbone", "train-srs")])
+def test_a_loaded_model_draws_nothing_and_holds_the_checkpoints_arrays(stages, monkeypatch, name, stage):
+    """``load_state_arrays`` overwrites every array, so loading builds the model
+    without a random stream."""
+    _, _, models = stages
+
+    def no_stream(*keys):
+        raise AssertionError(f"seed_stream{keys} called during a load")
+
+    monkeypatch.setattr(pipeline, "seed_stream", no_stream)
+    model, _ = pipeline._load_model(models[name], stage)
+    arrays, _ = load_checkpoint(os.path.join(models[name], "model.ckpt"))
+    loaded = model.state_arrays()
+    assert loaded.keys() == arrays.keys()
+    for key, array in arrays.items():
+        np.testing.assert_array_equal(loaded[key], array, err_msg=key)
+
+
 def test_reverse_gen_refuses_a_forward_model(stages, tmp_path):
     cfg, raw, models = stages
     with pytest.raises(ValueError, match=f"{re.escape(models['backbone'])} has role='backbone', "

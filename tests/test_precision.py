@@ -59,7 +59,7 @@ def diffusion_loss():
 
 
 def recommender_loss():
-    batch = [([1, 2], 3, [4]), ([5], 6, [7]), ([8, 9, 10, 11, 12, 13, 14], 15, [16])]
+    batch = [([1, 2], 3, 4), ([5], 6, 7), ([8, 9, 10, 11, 12, 13, 14], 15, 16)]
     return srs._batch_loss(recommender(), batch, train=True, rng=np.random.default_rng(1))
 
 
