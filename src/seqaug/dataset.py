@@ -18,7 +18,7 @@ GROUPS = (GROUP_SHORT, GROUP_MEDIUM, GROUP_LONG)
 
 
 class ParseError(ValueError):
-    """A line of a TSV input failed to parse; carries the 1-based line number."""
+    """A line of a TSV input or input manifest failed to parse; carries the 1-based line number."""
 
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
@@ -80,13 +80,16 @@ def save_json(path, obj):
 
 def _tsv_rows(path, width, parse):
     """``(line_no, parse(*fields))`` per non-empty line of a TSV file. A line
-    without ``width`` fields, or one whose fields ``parse`` refuses with a
-    ValueError, raises ParseError at ``path:line_no``. One call converts a whole
-    line: a converter per field made load_interactions 1.6x slower (synth.cfg's
-    4,159-line log, Python 3.11)."""
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
+    that is not UTF-8, one without ``width`` fields, or one whose fields
+    ``parse`` refuses with a ValueError, raises ParseError at ``path:line_no``.
+    One call converts a whole line: a converter per field made load_interactions
+    1.6x slower (synth.cfg's 4,159-line log, Python 3.11)."""
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, line_no, f"not UTF-8 ({exc.reason} at column {exc.start + 1})") from None
             if not line:
                 continue
             parts = line.split("\t")

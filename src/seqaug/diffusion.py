@@ -103,12 +103,20 @@ def training_loss(model, aug_ids, raw_seqs, sched, rng, p_uncond=0.0):
 def scorer_input_gradient(classifier, x_t, first_items):
     """d/dx_t of sum_b log p(first_item_b | x_t_b) through the scorer; log p
     is the negative BCE of the positive logit at the last position. The first
-    items' embedding rows enter as constants, so no other row is read."""
+    items' embedding rows and the classifier's parameters enter as constants,
+    so no other row is read and backward leaves no ``.grad`` on a parameter."""
     xt = Tensor(np.asarray(x_t, dtype=nd.default_dtype()), requires_grad=True)
     rows = classifier.item_emb.data[np.asarray(first_items, dtype=np.int64)]
-    pos = item_logits(classifier.encode(emb_seq=xt), rows)
-    log_p = nd.mul(nd.sum_(nd.softplus(nd.mul(pos, -1.0))), -1.0)
-    nd.backward(log_p)
+    params = list(classifier.parameters().values())
+    for p in params:
+        p.requires_grad = False
+    try:
+        pos = item_logits(classifier.encode(emb_seq=xt), rows)
+        log_p = nd.mul(nd.sum_(nd.softplus(nd.mul(pos, -1.0))), -1.0)
+        nd.backward(log_p)
+    finally:
+        for p in params:
+            p.requires_grad = True
     return xt.grad
 
 

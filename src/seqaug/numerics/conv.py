@@ -120,9 +120,9 @@ def _dense_matrix(w, geometry, p, q, k, pixels, out_pixels):
     return big
 
 
-def conv2d(x, w, b=None, stride=1, padding=0):
-    """Cross-correlation of (B, H, W, C) with kernels (KH, KW, C, O)."""
-    x, w = as_tensor(x), as_tensor(w)
+def conv2d(x, w, b, stride=1, padding=0):
+    """Cross-correlation of (B, H, W, C) with kernels (KH, KW, C, O), plus the (O,) bias."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.data.shape} and {w.data.shape}")
     bs, h, wd, c = x.data.shape
@@ -133,6 +133,8 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     ow = (wd + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, kernel {w.data.shape}")
+    if b.data.shape != (o,):
+        raise ShapeError(f"conv2d bias shape {b.data.shape} does not match {o} output channels")
 
     geometry = (h, wd, kh, kw, stride, padding)
     lowering, *tables = _plan(*geometry)
@@ -161,22 +163,17 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             return g.reshape(bs, -1) @ big.T
 
     out_data = out_data.reshape(bs, oh, ow, o)
-    if b is not None:
-        b = as_tensor(b)
-        if b.data.shape != (o,):
-            raise ShapeError(f"conv2d bias shape {b.data.shape} does not match {o} output channels")
-        out_data += b.data
-    parents = (x, w) if b is None else (x, w, b)
+    out_data += b.data
 
     def bwd(g):
         if w.requires_grad:
             _accum(w, weight_grad(g).reshape(w.data.shape))
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             _accum(b, g.sum(axis=(0, 1, 2)))
         if x.requires_grad:
             _accum(x, input_grad(g).reshape(x.data.shape))
 
-    return _make(out_data, parents, bwd, "conv2d")
+    return _make(out_data, (x, w, b), bwd, "conv2d")
 
 
 def upsample_nearest2d(x, scale=2):

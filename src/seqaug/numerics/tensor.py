@@ -99,12 +99,8 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _builds_graph(parents):
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
-
-
 def _make(data, parents, backward, op):
-    if _builds_graph(parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=parents, backward=backward, op=op)
     return Tensor(data, op=op)
 
@@ -210,20 +206,17 @@ def mul(a, b):
 
 
 def silu(a):
-    """a * sigmoid(a). With no graph to build, the same ufuncs run in the same order
-    in one buffer, so the output is bitwise the graph path's."""
+    """a * sigmoid(a), computed in place in one buffer. Backward rebuilds the sigmoid
+    by the same ufuncs in the same order, so it reads the forward's values bitwise."""
     a = as_tensor(a)
-    if not _builds_graph((a,)):
-        out_data = np.negative(a.data)
-        np.exp(out_data, out=out_data)
-        np.add(out_data, 1.0, out=out_data)
-        np.divide(1.0, out_data, out=out_data)
-        np.multiply(a.data, out_data, out=out_data)
-        return Tensor(out_data, op="silu")
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    out_data = a.data * s
+    out_data = np.negative(a.data, out=np.empty_like(a.data))
+    np.exp(out_data, out=out_data)
+    np.add(out_data, 1.0, out=out_data)
+    np.divide(1.0, out_data, out=out_data)
+    np.multiply(a.data, out_data, out=out_data)
 
     def bwd(g):
+        s = 1.0 / (1.0 + np.exp(-a.data))
         _accum(a, g * (s * (1.0 + a.data * (1.0 - s))))
 
     return _make(out_data, (a,), bwd, "silu")
@@ -325,23 +318,19 @@ def _flat_index(arrays, shape):
 
 
 def take(a, idx):
-    """numpy-style indexing by ints and slices, or by an integer array or a tuple of them
-    over the leading axes. An array index's gradient is an assignment when its positions
-    are distinct, else a sorted segment sum, so repeated indices add up."""
+    """``a[idx]`` for an integer array or a tuple of them over the leading axes; any
+    other index (a slice, a float array) raises ShapeError. The gradient is an
+    assignment when the positions are distinct, else a sorted segment sum, so
+    repeated indices add up."""
     a = as_tensor(a)
-    arrays = idx if isinstance(idx, tuple) else (idx,)
-    basic = all(isinstance(i, (int, slice)) for i in arrays)
-    if not basic:
-        arrays = tuple(np.asarray(i) for i in arrays)
-        if not all(np.issubdtype(i.dtype, np.integer) for i in arrays):
-            raise ShapeError(f"take indices must be integers, got dtypes {[str(i.dtype) for i in arrays]}")
-    out_data = a.data[idx]
+    arrays = tuple(np.asarray(i) for i in (idx if isinstance(idx, tuple) else (idx,)))
+    if not all(np.issubdtype(i.dtype, np.integer) for i in arrays):
+        raise ShapeError(f"take indices must be integers, got dtypes {[str(i.dtype) for i in arrays]}")
+    out_data = a.data[arrays]
 
     def bwd(g):
         buf = np.zeros_like(a.data)
-        if basic:
-            buf[idx] = g
-        elif g.size:
+        if g.size:
             # negative indices wrap as in the forward pass, which already rejected out-of-range ones
             flat = _flat_index(arrays, a.data.shape)
             trail = a.data.shape[len(arrays):]
@@ -407,23 +396,22 @@ def softmax(a, axis=-1):
 
 
 def layer_norm(a, gain, bias):
-    """Normalize over the last axis (eps 1e-5) with learned gain/bias (fused primitive).
-    Normalizes one copy of the input in place; ``einsum`` sums make no product temporaries.
-    With no graph to build, gain and then bias are applied into that copy too."""
+    """Normalize over the last axis (eps 1e-5) with learned gain/bias (fused primitive), in
+    place in one copy of the input; ``einsum`` sums make no product temporaries. Backward
+    rebuilds the normalized input from the kept row means and inverse deviations."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     n = a.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({n},), got {gain.data.shape} and {bias.data.shape}")
-    xhat = a.data - np.einsum("...i->...", a.data)[..., None] / n
-    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / n + 1e-5)
-    xhat *= inv
-    if not _builds_graph((a, gain, bias)) and gain.data.dtype == bias.data.dtype == xhat.dtype:
-        xhat *= gain.data
-        xhat += bias.data
-        return Tensor(xhat, op="layer_norm")
-    out_data = xhat * gain.data + bias.data
+    mean = np.einsum("...i->...", a.data)[..., None] / n
+    out_data = a.data - mean
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", out_data, out_data)[..., None] / n + 1e-5)
+    out_data *= inv
+    out_data *= gain.data
+    out_data += bias.data
 
     def bwd(g):
+        xhat = (a.data - mean) * inv
         if gain.requires_grad:
             _accum(gain, np.einsum("ri,ri->i", g.reshape(-1, n), xhat.reshape(-1, n)))
         if bias.requires_grad:

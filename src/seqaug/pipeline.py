@@ -23,8 +23,8 @@ from . import augment as aug_mod
 from . import diffusion, srs, synth
 from . import numerics as nd
 from .config import ConfigError, RunConfig, field_types
-from .dataset import (leave_one_out_split, load_interactions, load_sequences, load_vocab,
-                      save_json, save_sequences, save_vocab)
+from .dataset import (ParseError, leave_one_out_split, load_interactions, load_sequences,
+                      load_vocab, save_json, save_sequences, save_vocab)
 from .evaluation import average_reports, compare, evaluate
 from .numerics import seed_stream
 from .srs import SrsModel
@@ -62,7 +62,10 @@ def run_preprocess(config, input_path, out_dir):
         input_manifest = os.path.join(os.path.dirname(os.path.abspath(input_path)), "manifest.json")
         if os.path.exists(input_manifest):
             with open(input_manifest, encoding="utf-8") as f:
-                facts["input_manifest"] = json.load(f)
+                try:
+                    facts["input_manifest"] = json.load(f)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(input_manifest, exc.lineno, f"{exc.msg} (column {exc.colno})") from None
         save_sequences(ds, os.path.join(out_dir, "sequences.tsv"))
         save_vocab(ds, os.path.join(out_dir, "vocab.tsv"))
     return ds
@@ -79,7 +82,7 @@ def load_dataset_dir(data_dir):
 
 def _augment_config(config):
     # the augment stage reads the RunConfig itself; this identity stays because
-    # perfbench/test_bench.py and acceptance 07 call it
+    # perfbench/test_bench.py calls it, its only caller
     return config
 
 

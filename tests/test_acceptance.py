@@ -74,7 +74,7 @@ def diffusion_runs(env):
 def _sample_augmentations(env, model, gamma, seed):
     """Rounded M-item prefixes for every user, conditioned on the raw
     sequence minus its test item."""
-    acfg = pipeline._augment_config(replace(env.cfg, seed=seed, gamma=gamma))
+    acfg = replace(env.cfg, seed=seed, gamma=gamma)
     sched = acfg.schedule()
     users = list(env.ds.users.keys())
     out = {}

@@ -257,3 +257,30 @@ def test_cli_module_entrypoint_runs(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "m" / "interactions.tsv").exists()
+
+
+def _non_utf8_sequences(data):
+    path = data / "sequences.tsv"
+    lines = len(path.read_bytes().splitlines())
+    path.write_bytes(path.read_bytes() + b"\xff")
+    return ["augment", "--data", str(data), "--set", "strategy=random_seq"], f"{path}:{lines + 1}: "
+
+
+def _corrupt_manifest(data):
+    path = data / "manifest.json"
+    path.write_text('{"stage": ', encoding="utf-8")
+    return ["preprocess", "--input", str(data / "interactions.tsv")], f"{path}:1: "
+
+
+@pytest.mark.parametrize("damage", [_non_utf8_sequences, _corrupt_manifest],
+                         ids=["non_utf8_sequences", "corrupt_input_manifest"])
+def test_a_damaged_input_exits_3_with_one_line_naming_the_file(tmp_path, capsys, damage):
+    data = tmp_path / "data"
+    run_cli("synth", "--users", "20", "--items", "10", "--seed", "3", "--out", str(data))
+    capsys.readouterr()
+    args, at = damage(data)
+    code = run_cli(*args, "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith(f"data error: {at}"), err
+    assert "Traceback" not in err

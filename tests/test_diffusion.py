@@ -244,6 +244,17 @@ def test_scorer_input_gradient_reads_only_the_first_items_rows():
     np.testing.assert_array_equal(grad, clean)
 
 
+def test_guided_sampling_leaves_no_gradient_on_the_classifier(tiny_net, sched):
+    """Guidance differentiates x_t only: after a classifier-guided sample no
+    classifier parameter holds a gradient, and each still requires one."""
+    classifier = SrsModel(RunConfig(srs_embed_dim=16, srs_blocks=2, srs_max_len=4, srs_dropout=0.0),
+                          12, seed_stream(1, "clf"))
+    params = classifier.parameters()
+    dm.sample(tiny_net, [[1, 2, 3], [4, 5]], 2, 1.5, sched, seed=3, classifier=classifier)
+    assert classifier.parameters().keys() == params.keys()
+    assert all(p.requires_grad and p.grad is None for p in params.values())
+
+
 # ---------------------------------------------------------------------------
 # reverse step
 

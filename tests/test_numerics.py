@@ -34,7 +34,7 @@ def test_conv2d_all_ones_center():
     # 3x3 all-ones input, all-ones 3x3 kernel, padding 1: center sees all 9 taps
     x = Tensor(np.ones((1, 3, 3, 1)))
     w = Tensor(np.ones((3, 3, 1, 1)))
-    out = nd.conv2d(x, w, padding=1).data[0, :, :, 0]
+    out = nd.conv2d(x, w, np.zeros(1), padding=1).data[0, :, :, 0]
     assert out[1, 1] == 9.0
     np.testing.assert_array_equal(out, [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
@@ -158,15 +158,16 @@ def test_conv2d_frozen_no_grad_forward_is_the_graph_forward(lowering, dtype, rng
 def test_frozen_weights_builds_each_dense_matrix_once_and_drops_it_on_exit(rng):
     x = rng.standard_normal((2, 4, 4, 3))
     kern = nd.param(rng.standard_normal((3, 3, 3, 4)))
+    zero = np.zeros(4, dtype=kern.dtype)
     built = []
     with nd.frozen_weights():
-        nd.conv2d(x, kern, padding=1)
+        nd.conv2d(x, kern, zero, padding=1)
         assert conv._FROZEN == {}  # grad enabled: no matrix is kept
         with nd.no_grad():
             for _ in range(3):
-                nd.conv2d(x, kern, padding=1)
+                nd.conv2d(x, kern, zero, padding=1)
                 built.append(next(iter(conv._FROZEN.values()))[1])
-            nd.conv2d(x[:, :2, :2], kern, padding=1)  # another geometry, another matrix
+            nd.conv2d(x[:, :2, :2], kern, zero, padding=1)  # another geometry, another matrix
         assert len(conv._FROZEN) == 2
     assert conv._FROZEN is None
     assert built[0] is built[1] is built[2]
@@ -280,6 +281,11 @@ def test_take_increasing_index_gradient_matches_sorted_path(rng):
     expected = np.zeros((4, 6, 3))
     expected[rows, cols] = upstream
     np.testing.assert_array_equal(grads[0], expected)
+
+
+def test_take_refuses_a_slice():
+    with pytest.raises(nd.ShapeError, match="integers"):
+        nd.take(Tensor(np.zeros((3, 4))), (slice(None), 2))
 
 
 def test_scatter_places_rows_and_gathers_the_gradient(rng):
@@ -429,6 +435,7 @@ def test_every_op_passes_randomized_fd(op_name, rng):
     ids = rng.integers(0, 6, size=(2, 3))
     kern1 = Tensor(rng.standard_normal((1, 1, 3, 2)), requires_grad=True)
     img_odd = Tensor(rng.standard_normal((2, 5, 3, 3)), requires_grad=True)
+    zero = np.zeros(2)
 
     builders = {
         "add": (lambda: nd.add(a, b), [a, b]),
@@ -444,13 +451,13 @@ def test_every_op_passes_randomized_fd(op_name, rng):
         "reshape": (lambda: nd.reshape(a, (4, 3)), [a]),
         "transpose": (lambda: nd.transpose(a, (1, 0)), [a]),
         "concat": (lambda: nd.concat([a, b], axis=1), [a, b]),
-        "take": (lambda: nd.take(a, (slice(None), 2)), [a]),
+        "take": (lambda: nd.take(a, (np.arange(3), 2)), [a]),
         "scatter": (lambda: nd.scatter(a, (np.array([2, 0, 1]), np.array([1, 3, 3])), (3, 5, 4)), [a]),
         "embedding": (lambda: nd.embedding(table, ids), [table]),
-        "conv": (lambda: nd.conv2d(img, kern, padding=1), [img, kern]),
-        "conv_strided": (lambda: nd.conv2d(img, kern, stride=2, padding=1), [img, kern]),
-        "conv_1x1": (lambda: nd.conv2d(img, kern1), [img, kern1]),
-        "conv_odd_strided": (lambda: nd.conv2d(img_odd, kern, stride=2, padding=1), [img_odd, kern]),
+        "conv": (lambda: nd.conv2d(img, kern, zero, padding=1), [img, kern]),
+        "conv_strided": (lambda: nd.conv2d(img, kern, zero, stride=2, padding=1), [img, kern]),
+        "conv_1x1": (lambda: nd.conv2d(img, kern1, zero), [img, kern1]),
+        "conv_odd_strided": (lambda: nd.conv2d(img_odd, kern, zero, stride=2, padding=1), [img_odd, kern]),
         "upsample": (lambda: nd.upsample_nearest2d(img, 2), [img]),
         "attention": (lambda: nd.scaled_dot_attention(q, q, q), [q]),
     }

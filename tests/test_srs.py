@@ -144,7 +144,7 @@ def _full_width_encode(model):
         for block in model.blocks:
             kept = last if block is model.blocks[-1] else real
             h = block_at_full_width(block, h, mask, lambda x: drop(x, kept))
-        return nd.take(model.final_norm(h), (slice(None), -1))
+        return nd.take(model.final_norm(h), (np.arange(len(real)), -1))
 
     return encode
 
@@ -152,7 +152,7 @@ def _full_width_encode(model):
 def full_logits(model, emb_seq):
     """Graph-connected logits (B, V) over the whole catalogue from an embedding
     sequence (B, M, d); column v-1 is item v."""
-    table = nd.take(model.item_emb, slice(1, None))
+    table = nd.take(model.item_emb, np.arange(1, model.num_items + 1))
     return nd.matmul(model.encode(emb_seq=emb_seq), nd.transpose(table, (1, 0)))
 
 
